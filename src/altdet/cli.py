@@ -5,7 +5,7 @@ layout or as a single JSON document, and nothing else there.  Timing goes
 to standard error, so reports are byte-identical for a fixed seed whatever
 the thread count.  Exit codes: 0 when the checked identity holds or a
 search finds a witness, 1 when a check fails or a search exhausts, 2 for
-bad inputs, 3 for exhausted budgets.
+bad inputs, 3 for exhausted budgets, 4 when an internal self-check fails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .engine import (
     invariant_at_identity,
     verify_identity,
 )
-from .errors import BudgetError, DimensionError, InputError
+from .errors import BudgetError, DimensionError, InputError, SelfCheckError
 from .exact import format_rational
 from .instances import (
     SplitMix64,
@@ -317,7 +317,7 @@ def cmd_rota_search(cfg: RunConfig) -> tuple[Report, int]:
     witness = None
     if sel is not None:
         if not sel.is_valid_for(inst):
-            raise AssertionError("search returned a selection with a zero transversal")
+            raise SelfCheckError("search returned a selection with a zero transversal")
         witness = _selection_witness(sel)
         lhs = Fraction(1)
     else:
@@ -371,7 +371,7 @@ def cmd_svrtan_search(cfg: RunConfig) -> tuple[Report, int]:
     witness = None
     if c is not None:
         if choice_det(inst, c) == 0:
-            raise AssertionError("search returned a choice with zero determinant")
+            raise SelfCheckError("search returned a choice with zero determinant")
         witness = _choice_witness(c, inst.n)
         lhs = Fraction(1)
     else:
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--incremental", action="store_true",
-                   help="update only the two polynomials each bit flip touches")
+                   help="test point-value determinants, refreshing two columns per bit flip")
 
     p = add("census", "count surviving identity-spinor choices; must be n!")
     p.add_argument("--n", type=_positive, required=True)
@@ -551,6 +551,9 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=err)
         return 3
+    except SelfCheckError as exc:
+        print(f"internal check failed: {exc}", file=err)
+        return 4
     report.elapsed = time.perf_counter() - started
     if cfg.format == "json":
         print(json.dumps(report.to_doc(), indent=2), file=out)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The command-line layer maps these onto exit codes: input problems exit
-with 2, exhausted budgets with 3.  A failed identity check is not an
-exception; it is a report with a false verdict (exit 1).
+with 2, exhausted budgets with 3, failed internal self-checks with 4.  A
+failed identity check is not an exception; it is a report with a false
+verdict (exit 1).
 """
 
 from __future__ import annotations
@@ -29,3 +30,7 @@ class BudgetError(AltdetError, RuntimeError):
         super().__init__(message)
         self.count = count
         self.budget = budget
+
+
+class SelfCheckError(AltdetError, RuntimeError):
+    """An internal consistency check failed: a bug, not a bad input."""

@@ -18,6 +18,16 @@ every edge determinant is nonzero.
 With every basis (1, t), a choice contributes iff the t-multiplicities of
 the vertices are a permutation of 0..n-1, i.e. the induced orientation is
 a transitive tournament; exactly n! choices survive, one per vertex order.
+
+The sum, the census and the incremental search evaluate instead: the
+values of p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the
+coefficient matrix, so each determinant gains the factor prod over a < b of
+(b - a).  Scaling each basis element by the lcm of its denominators makes
+every value an integer and multiplies every term by the same product of
+scales, since each choice uses both elements of every edge.  Choices run in
+reflected-binary order, so a step rebuilds only the two value columns of the
+flipped edge; the signed integer total is divided once.  choice_polys and
+choice_det are the literal route.
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
-from typing import Iterable, Iterator
+from math import factorial, lcm, prod
+from typing import Iterator
 
 from .engine import (
     DEFAULT_TERM_BUDGET,
@@ -35,8 +45,8 @@ from .engine import (
     MultilinearForm,
     partition_ranges,
 )
-from .errors import AltdetError, BudgetError, DimensionError
-from .exact import Matrix, Polynomial, poly_det, poly_mul
+from .errors import BudgetError, DimensionError, SelfCheckError
+from .exact import Matrix, Polynomial, det_int_rows, poly_det, poly_mul
 from .perms import Shape
 
 ONE = Polynomial((1, 0))
@@ -161,25 +171,6 @@ class ChoicePolynomials:
         return len(self.polys)
 
 
-def _spinor_on(inst: SpinorInstance, bits: int, v: int, u: int) -> Polynomial:
-    """The basis element riding the oriented edge from v to u."""
-    if v < u:
-        p1, p2 = inst.bases[edge_index(inst.n, v, u)]
-        return p2 if (bits >> edge_index(inst.n, v, u)) & 1 else p1
-    p1, p2 = inst.bases[edge_index(inst.n, u, v)]
-    return p1 if (bits >> edge_index(inst.n, u, v)) & 1 else p2
-
-
-def _vertex_poly(inst: SpinorInstance, bits: int, v: int) -> Polynomial:
-    """Product of the spinors on vertex v's outgoing edges, in V_n."""
-    n = inst.n
-    acc = Polynomial((1,) + (0,) * (n - 1))
-    for u in range(n):
-        if u != v:
-            acc = poly_mul(acc, _spinor_on(inst, bits, v, u), n)
-    return acc
-
-
 def choice_polys(inst: SpinorInstance, c: Choice) -> ChoicePolynomials:
     """All n vertex polynomials of a choice, by one pass over the edges."""
     if c.edge_count != inst.edge_count:
@@ -198,6 +189,56 @@ def choice_polys(inst: SpinorInstance, c: Choice) -> ChoicePolynomials:
 def choice_det(inst: SpinorInstance, c: Choice) -> Fraction:
     """det of the coefficient matrix of the choice's vertex polynomials."""
     return poly_det(choice_polys(inst, c).polys)
+
+
+def _point_values(inst: SpinorInstance) -> tuple[list, int]:
+    """Per edge, the values of its scaled (p1, p2) at x = 0..n-1.
+
+    Also returns the divisor that turns point-value totals into coefficient
+    ones: the product of all element scales times the Vandermonde determinant.
+    """
+    n = inst.n
+    divisor = prod(factorial(k) for k in range(n))  # prod over a < b of (b - a)
+    values = []
+    for basis in inst.bases:
+        pair = []
+        for p in basis:
+            scale = lcm(*(c.denominator for c in p.coeffs))
+            c0, c1 = (c.numerator * (scale // c.denominator) for c in p.coeffs)
+            pair.append(tuple(c0 + c1 * x for x in range(n)))
+            divisor *= scale
+        values.append(pair)
+    return values, divisor
+
+
+def _point_dets(n: int, values, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(bits, point-value determinant) for the choices of rank lo..hi-1.
+
+    Ranks run in reflected-binary order from ``lo ^ (lo >> 1)``; each step
+    flips one edge and rebuilds only the value columns of its two ends.
+    """
+    pairs = edge_pairs(n)
+    incident = [[] for _ in range(n)]  # (edge, values if bit 0, values if bit 1)
+    for idx, (i, j) in enumerate(pairs):
+        v1, v2 = values[idx]
+        incident[i].append((idx, v1, v2))
+        incident[j].append((idx, v2, v1))
+
+    def column(v: int, bits: int) -> list[int]:
+        picked = [if1 if bits >> idx & 1 else if0 for idx, if0, if1 in incident[v]]
+        return [prod(at_x) for at_x in zip(*picked)] if picked else [1]  # n = 1: no edges
+
+    bits = lo ^ (lo >> 1)
+    cols = [column(v, bits) for v in range(n)]
+    for t in range(lo, hi):
+        if t > lo:
+            idx = (t & -t).bit_length() - 1
+            bits ^= 1 << idx
+            i, j = pairs[idx]
+            cols[i] = column(i, bits)
+            cols[j] = column(j, bits)
+        # columns passed as rows: the transpose has the same determinant
+        yield bits, det_int_rows(cols)
 
 
 def out_degrees(c: Choice, n: int) -> tuple[int, ...]:
@@ -242,26 +283,26 @@ def verify_svrtan(
 
     The choice space is split by rank range (equivalently bit prefix, the
     enumeration index being the reflected-binary rank); each worker sums
-    its block exactly.
+    its block of point-value determinants, and the total is divided once.
     """
     terms = 1 << inst.edge_count
     if terms > term_budget:
         raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
+    values, divisor = _point_values(inst)
 
-    def range_sum(lo: int, hi: int) -> Fraction:
-        total = Fraction(0)
-        for c in enumerate_choices(inst.edge_count, lo, hi):
-            d = choice_det(inst, c)
-            if d:
-                total += c.sign * d
+    def range_sum(lo: int, hi: int) -> int:
+        total = 0
+        for bits, d in _point_dets(inst.n, values, lo, hi):
+            total += -d if bits.bit_count() & 1 else d
         return total
 
     ranges = partition_ranges(terms, threads)
     if len(ranges) == 1:
-        lhs = range_sum(0, terms)
+        total = range_sum(0, terms)
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            lhs = sum(pool.map(lambda r: range_sum(r[0], r[1]), ranges), Fraction(0))
+            total = sum(pool.map(lambda r: range_sum(r[0], r[1]), ranges))
+    lhs = Fraction(total, divisor)
     rhs = Fraction(factorial(inst.n))
     for d in inst.edge_dets:
         rhs *= d
@@ -283,13 +324,12 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
         raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
     count = 0
     marks = list(range(n))
-    for c in enumerate_choices(inst.edge_count):
-        if choice_det(inst, c) != 0:
+    values, _ = _point_values(inst)
+    for bits, d in _point_dets(n, values, 0, terms):
+        if d:
             count += 1
-            if sorted(out_degrees(c, n)) != marks:
-                raise AltdetError(
-                    f"nonzero term with non-transitive orientation: bits {c.bits:b}"
-                )
+            if sorted(out_degrees(Choice(bits, inst.edge_count), n)) != marks:
+                raise SelfCheckError(f"nonzero term with non-transitive orientation: bits {bits:b}")
     return count
 
 
@@ -302,9 +342,9 @@ def svrtan_search(
     """First choice with a nonzero determinant, walking one bit at a time.
 
     None only comes back for singular instances; otherwise the formula
-    guarantees a nonzero term.  The incremental path refreshes just the two
-    vertex polynomials an edge flip touches and is checked against the
-    plain path by tests.
+    guarantees a nonzero term.  The incremental path tests point-value
+    determinants, refreshing just the two value columns an edge flip
+    touches, and is checked against the plain path by tests.
     """
     E = inst.edge_count
     if (1 << E) > term_budget:
@@ -314,17 +354,9 @@ def svrtan_search(
             if choice_det(inst, c) != 0:
                 return c
         return None
-    n = inst.n
-    bits = 0
-    polys = [_vertex_poly(inst, bits, v) for v in range(n)]
-    for t in range(1 << E):
-        if t:
-            idx = (t & -t).bit_length() - 1
-            bits ^= 1 << idx
-            i, j = edge_pairs(n)[idx]
-            polys[i] = _vertex_poly(inst, bits, i)
-            polys[j] = _vertex_poly(inst, bits, j)
-        if poly_det(polys) != 0:
+    values, _ = _point_values(inst)
+    for bits, d in _point_dets(inst.n, values, 0, 1 << E):
+        if d:
             return Choice(bits, E)
     return None
 

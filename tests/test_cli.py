@@ -16,7 +16,7 @@ from altdet.instances import (
     random_spinor_instance,
 )
 from altdet.exact import Polynomial
-from altdet.svrtan import SpinorInstance
+from altdet.svrtan import Choice, SpinorInstance
 
 
 def invoke(argv):
@@ -73,6 +73,28 @@ class TestExitCodes:
         assert code == 1
         assert "search exhausted" in out
         assert "lhs = 0" in out
+
+    def test_zero_witness_is_four(self, tmp_path, monkeypatch):
+        # every choice of the singular file has determinant zero
+        path = singular_spinor_file(tmp_path)
+        monkeypatch.setattr("altdet.cli.svrtan_search", lambda inst, **kw: Choice(0, 3))
+        code, out, err = invoke(["svrtan-search", "--input", str(path)])
+        assert code == 4
+        assert out == ""
+        assert err == "internal check failed: search returned a choice with zero determinant\n"
+
+    def test_invalid_selection_is_four(self, monkeypatch):
+        monkeypatch.setattr("altdet.onn.TransversalSelection.is_valid_for", lambda self, inst: False)
+        code, out, err = invoke(["rota-search", "--n", "2", "--seed", "6"])
+        assert (code, out) == (4, "")
+        assert err.startswith("internal check failed: ") and "Traceback" not in err
+
+    def test_census_self_check_is_four(self, monkeypatch):
+        # a survivor read as a non-transitive orientation trips the census check
+        monkeypatch.setattr("altdet.svrtan.out_degrees", lambda c, n: (1,) * n)
+        code, out, err = invoke(["census", "--n", "3"])
+        assert (code, out) == (4, "")
+        assert err.startswith("internal check failed: nonzero term")
 
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:

@@ -5,11 +5,15 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altdet.engine import invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError
 from altdet.exact import Polynomial
 from altdet.svrtan import (
+    _point_dets,
+    _point_values,
     Choice,
     SpinorInstance,
     as_engine_instance,
@@ -38,6 +42,43 @@ def random_spinor(n, rng, lo=-9, hi=9, nonsingular=True):
             continue
         bases.append((p1, p2))
     return SpinorInstance(n, tuple(bases))
+
+
+def rational_spinor(n, rng):
+    """Fraction coefficients with denominators that differ within and across edges."""
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    return SpinorInstance(
+        n, tuple((poly(coeff(), coeff()), poly(coeff(), coeff())) for _ in range(n * (n - 1) // 2))
+    )
+
+
+def singular_spinor(n, rng):
+    """Random bases whose first edge carries two proportional elements."""
+    inst = random_spinor(n, rng)
+    p1, _ = inst.bases[0]
+    flat = (p1, Polynomial(tuple(-2 * c for c in p1.coeffs)))
+    return SpinorInstance(n, (flat,) + inst.bases[1:])
+
+
+def literal_sum(inst, lo=0, hi=None):
+    """Signed choice sum over ranks [lo, hi) by the polynomial route."""
+    total = Fraction(0)
+    for c in enumerate_choices(inst.edge_count, lo, hi):
+        total += c.sign * choice_det(inst, c)
+    return total
+
+
+def walker_sum(inst, lo=0, hi=None):
+    """The same sum by the point-value walker, divided once."""
+    values, divisor = _point_values(inst)
+    hi = 1 << inst.edge_count if hi is None else hi
+    total = 0
+    for bits, d in _point_dets(inst.n, values, lo, hi):
+        total += -d if bits.bit_count() % 2 else d
+    return Fraction(total, divisor)
 
 
 class TestEdgeOrder:
@@ -148,6 +189,56 @@ class TestChoicePolys:
             choice_polys(SpinorInstance.identity(3), Choice(0, 2))
 
 
+class TestPointWalk:
+    """The point-value walker against the literal polynomial route."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_integer_instances(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(4 if n < 5 else 2):
+            inst = random_spinor(n, rng, nonsingular=False)
+            assert walker_sum(inst) == literal_sum(inst)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rational_instances(self, n):
+        rng = random.Random(210 + n)
+        for _ in range(4):
+            inst = rational_spinor(n, rng)
+            assert walker_sum(inst) == literal_sum(inst)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_edge(self, n):
+        inst = singular_spinor(n, random.Random(220 + n))
+        assert not inst.is_nonsingular
+        assert walker_sum(inst) == literal_sum(inst) == 0
+
+    def test_each_term_is_scaled_choice_det(self):
+        inst = rational_spinor(4, random.Random(230))
+        values, divisor = _point_values(inst)
+        walked = list(_point_dets(4, values, 0, 64))
+        assert [bits for bits, _ in walked] == [c.bits for c in enumerate_choices(6)]
+        for bits, d in walked:
+            assert Fraction(d, divisor) == choice_det(inst, Choice(bits, 6))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_sub_ranges(self, n, data):
+        # a range that starts mid-walk must rebuild its columns from the rank
+        terms = 1 << (n * (n - 1) // 2)
+        lo = data.draw(st.integers(0, terms))
+        hi = data.draw(st.integers(lo, terms))
+        seed = data.draw(st.integers(0, 2**32))
+        rng = random.Random(seed)
+        inst = rational_spinor(n, rng) if seed % 2 else random_spinor(n, rng, nonsingular=False)
+        assert walker_sum(inst, lo, hi) == literal_sum(inst, lo, hi)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_threads(self, threads):
+        rng = random.Random(240)
+        for inst in (random_spinor(4, rng), rational_spinor(4, rng)):
+            assert verify_svrtan(inst, threads=threads).lhs == literal_sum(inst)
+
+
 class TestVerifySvrtan:
     def test_n1(self):
         report = verify_svrtan(SpinorInstance.identity(1))
@@ -238,10 +329,10 @@ class TestSearch:
 
     def test_incremental_agrees_with_plain(self):
         rng = random.Random(106)
-        for n in (3, 4):
+        for n in (3, 4, 5):
             for _ in range(10):
-                inst = random_spinor(n, rng, nonsingular=False)
-                assert svrtan_search(inst) == svrtan_search(inst, incremental=True)
+                for inst in (random_spinor(n, rng, nonsingular=False), rational_spinor(n, rng)):
+                    assert svrtan_search(inst) == svrtan_search(inst, incremental=True)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
