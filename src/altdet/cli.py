@@ -207,7 +207,9 @@ def cmd_invariant(cfg: RunConfig) -> tuple[Report, int]:
         lhs = invariant_at_identity(
             colorful_form(cfg.n), threads=cfg.threads, term_budget=cfg.term_budget
         )
-        rhs = Fraction(alon_tarsi_count(cfg.n, threads=cfg.threads))
+        rhs = Fraction(
+            alon_tarsi_count(cfg.n, threads=cfg.threads, term_budget=cfg.term_budget)
+        )
         notes.append("independent route: signed Latin-square enumeration")
         inputs = {"family": "colorful", "n": cfg.n}
         terms = factorial(cfg.n) ** cfg.n
@@ -239,7 +241,7 @@ def cmd_invariant(cfg: RunConfig) -> tuple[Report, int]:
 def cmd_alon_tarsi(cfg: RunConfig) -> tuple[Report, int]:
     if cfg.n is None:
         _need(cfg, "give --n")
-    count = alon_tarsi_count(cfg.n, threads=cfg.threads)
+    count = alon_tarsi_count(cfg.n, threads=cfg.threads, term_budget=cfg.term_budget)
     lhs = Fraction(count)
     notes: list[str] = []
     if cfg.cross_check:

@@ -2,14 +2,25 @@
 
 The central quantity is sum over sigma of sgn(sigma) * f(sigma^-1 . A),
 where sigma runs over the product of the column-permutation groups of the
-matrices.  Because inversion is a sign-preserving bijection of the group,
-the implementation reindexes and sums sgn(sigma) * f(sigma . A) instead;
-a unit test pins the equivalence against the literal inverse form.
+matrices.  Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A,
+so each term is computed literally: the sum walks the raw
+(parity, mappings) of the group and hands the form, by index, the columns
+of A it reads, taken from column lists built once per call.  No permuted
+matrix is built; signed values are summed as they come (plain ints for
+integer inputs) and one Fraction is made per range.
+
+Forms read columns: `MultilinearForm.evaluate_columns` is the one
+evaluation body of every form.  A plain form wraps a function of a
+`MatrixTuple` and builds the matrices for each evaluation; the dense,
+colorful and spinor forms read the column lists directly.
 
 For every form f the sum factors as a scalar, depending on f and the shape
 alone, times the product of the matrix determinants.  That scalar is
 recovered by running the same sum with every matrix set to the identity,
 and `verify_identity` checks the factorization exactly on given inputs.
+At the identity a term is the form's value on permuted unit columns; a
+dense form reads it as the one coefficient whose slot digits are the
+mappings, with no contraction.
 
 Enumeration is splittable by rank range, so the sum can be partitioned
 across workers deterministically; partial sums are exact rationals and the
@@ -22,12 +33,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
 from .exact import Matrix, Scalar, det
-from .perms import Shape, act, enumerate_product
+from .perms import Shape, _walk_product
 
 DEFAULT_TERM_BUDGET = 10**8
 
@@ -67,25 +77,55 @@ class MatrixTuple:
         return all(d != 0 for d in self.determinants)
 
 
+Mappings = tuple[tuple[int, ...], ...]
+Term = Callable[[Mappings], Scalar]
+
+
 class MultilinearForm:
     """A scalar function of a matrix tuple, linear in each column slot.
 
-    The evaluator must be pure: workers may call it concurrently on
-    different permuted copies of the same tuple.
+    `evaluate_columns` is the one evaluation body: it takes, for each
+    matrix, its list of columns.  Calling the form on a `MatrixTuple`
+    delegates to it, and so do the alternating sum and the invariant, which
+    hand it the columns of each term by index.  A plain instance wraps
+    ``evaluator``, a function of a `MatrixTuple`; its `evaluate_columns`
+    builds the matrices for every evaluation.  Subclasses override
+    `evaluate_columns` instead and pass no evaluator.
+
+    Evaluation must be pure: workers may evaluate one form concurrently.
     """
 
     def __init__(
         self,
         shape: Shape,
-        evaluator: Callable[[MatrixTuple], Scalar],
+        evaluator: Callable[[MatrixTuple], Scalar] | None,
         description: str = "",
     ):
         self.shape = shape
         self.evaluator = evaluator
         self.description = description
 
+    def evaluate_columns(self, cols: Sequence[Sequence[tuple[Scalar, ...]]]) -> Scalar:
+        """The value at the tuple whose matrix i has the columns cols[i]."""
+        return self.evaluator(
+            MatrixTuple(self.shape, tuple(Matrix.from_columns(c) for c in cols))
+        )
+
     def __call__(self, A: MatrixTuple) -> Scalar:
-        return self.evaluator(A)
+        return self.evaluate_columns([m.columns() for m in A.matrices])
+
+    def column_term(self, A: MatrixTuple) -> Term:
+        """The alternating-sum term: the mappings of sigma -> f(sigma^-1 . A).
+
+        Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A.
+        """
+        cols = [m.columns() for m in A.matrices]
+        evaluate = self.evaluate_columns
+        return lambda maps: evaluate([[c[s] for s in m] for c, m in zip(cols, maps)])
+
+    def identity_term(self) -> Term:
+        """The invariant's term: the mappings of sigma -> f(sigma^-1 . I)."""
+        return self.column_term(MatrixTuple.identity(self.shape))
 
     def __repr__(self) -> str:
         return f"MultilinearForm({self.shape.sizes}, {self.description!r})"
@@ -100,29 +140,52 @@ class DenseTensorForm(MultilinearForm):
     for column j of matrix i with index r selects entry (r, j) of that
     matrix, and the value is the coefficient-weighted sum of all entry
     products.
+
+    Evaluation contracts one slot at a time, last slot first: entry r of
+    the last slot's column weights the stride-n slice starting at r.  At a
+    permuted identity tuple only one coefficient survives, the one whose
+    slot digits are sigma_i(j), so `identity_term` is a single lookup.
     """
 
     def __init__(self, shape: Shape, coeffs: Sequence[Scalar], description: str = "dense tensor"):
-        slots = [(i, j) for i, n in enumerate(shape.sizes) for j in range(n)]
         size = 1
-        for i, _ in slots:
-            size *= shape.sizes[i]
+        for n in shape.sizes:
+            size *= n**n
         if len(coeffs) != size:
             raise DimensionError(f"shape {shape.sizes} needs {size} coefficients, got {len(coeffs)}")
         self.coeffs = tuple(coeffs)
-        self._slots = slots
-        super().__init__(shape, self._evaluate, description)
+        super().__init__(shape, None, description)
 
-    def _evaluate(self, A: MatrixTuple) -> Scalar:
-        cols = [A.matrices[i].column(j) for i, j in self._slots]
-        total: Scalar = 0
-        for coeff, picks in zip(self.coeffs, product(*cols)):
-            if coeff:
-                term = coeff
-                for entry in picks:
-                    term = term * entry
-                total = total + term
-        return total
+    def evaluate_columns(self, cols: Sequence[Sequence[tuple[Scalar, ...]]]) -> Scalar:
+        vec: Sequence[Scalar] = self.coeffs
+        for block in reversed(cols):
+            n = len(block)
+            for col in reversed(block):
+                out = None
+                for r, c in enumerate(col):
+                    if not c:
+                        continue
+                    if out is None:
+                        out = [c * y for y in vec[r::n]]
+                    else:
+                        out = [x + c * y for x, y in zip(out, vec[r::n])]
+                if out is None:
+                    return 0
+                vec = out
+        return vec[0]
+
+    def identity_term(self) -> Term:
+        coeffs = self.coeffs
+        sizes = self.shape.sizes
+
+        def term(maps: Mappings) -> Scalar:
+            index = 0
+            for n, m in zip(sizes, maps):
+                for s in m:
+                    index = index * n + s
+            return coeffs[index]
+
+        return term
 
 
 def partition_ranges(length: int, parts: int) -> list[tuple[int, int]]:
@@ -132,13 +195,25 @@ def partition_ranges(length: int, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _range_sum(f: MultilinearForm, A: MatrixTuple, start: int, stop: int) -> Fraction:
-    total = Fraction(0)
-    for sigma in enumerate_product(A.shape, start, stop):
-        value = f(act(sigma, A))
+def _range_sum(term: Term, shape: Shape, start: int, stop: int) -> Fraction:
+    total: Scalar = 0
+    for parity, maps in _walk_product(shape, start, stop):
+        value = term(maps)
         if value:
-            total += sigma.parity * value
-    return total
+            total += value if parity > 0 else -value
+    return Fraction(total)
+
+
+def _signed_sum(term: Term, shape: Shape, threads: int, term_budget: int) -> Fraction:
+    terms = shape.term_count
+    if terms > term_budget:
+        raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
+    ranges = partition_ranges(terms, threads)
+    if len(ranges) == 1:
+        return _range_sum(term, shape, 0, terms)
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        partials = pool.map(lambda r: _range_sum(term, shape, r[0], r[1]), ranges)
+        return sum(partials, Fraction(0))
 
 
 def alternating_sum(
@@ -151,15 +226,7 @@ def alternating_sum(
     """Exact value of the signed sum of f over all column permutations of A."""
     if f.shape != A.shape:
         raise DimensionError(f"form shape {f.shape.sizes} != tuple shape {A.shape.sizes}")
-    terms = A.shape.term_count
-    if terms > term_budget:
-        raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
-    ranges = partition_ranges(terms, threads)
-    if len(ranges) == 1:
-        return _range_sum(f, A, 0, terms)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        partials = pool.map(lambda r: _range_sum(f, A, r[0], r[1]), ranges)
-        return sum(partials, Fraction(0))
+    return _signed_sum(f.column_term(A), A.shape, threads, term_budget)
 
 
 def invariant_at_identity(
@@ -170,9 +237,7 @@ def invariant_at_identity(
     Evaluating the sum at the all-identity tuple isolates it, since every
     determinant is then 1.
     """
-    return alternating_sum(
-        f, MatrixTuple.identity(f.shape), threads=threads, term_budget=term_budget
-    )
+    return _signed_sum(f.identity_term(), f.shape, threads, term_budget)
 
 
 @dataclass(frozen=True)

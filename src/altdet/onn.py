@@ -35,6 +35,8 @@ from .perms import Shape, SignedPerm, SignedPermTuple, enumerate_signed, _pool
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
+# L(n), the number of order-n Latin squares, for n = 1..MAX_FULL_ORDER
+LATIN_SQUARE_COUNTS = (1, 2, 12, 576, 161280, 812851200, 61479419904000)
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,23 @@ def _signed_completions(n: int, cols: list[int], start_row: int, sign: int) -> i
     return total
 
 
-def alon_tarsi_count(n: int, *, threads: int = 1) -> int:
+def alon_tarsi_count(
+    n: int, *, threads: int = 1, term_budget: int = DEFAULT_TERM_BUDGET
+) -> int:
     """l(n): even minus odd order-n Latin squares, by full enumeration.
 
     Workers split the choice of first row by rank range; each then runs the
     masked DFS over the remaining rows with the sign maintained in place.
+    The enumeration visits L(n) squares, the number of order-n Latin
+    squares; more than ``term_budget`` raises before any work starts.
     """
     if n < 1:
         raise DimensionError("Latin squares need order >= 1")
     if n > MAX_FULL_ORDER:
         raise BudgetError(f"full enumeration is capped at order {MAX_FULL_ORDER}, got {n}")
+    squares = LATIN_SQUARE_COUNTS[n - 1]
+    if squares > term_budget:
+        raise BudgetError("Latin square enumeration has too many terms", count=squares, budget=term_budget)
 
     def over_first_rows(lo: int, hi: int) -> int:
         subtotal = 0
@@ -200,20 +209,15 @@ class ColorfulInstance:
         return all(d != 0 for d in self.determinants)
 
 
-def colorful_form(n: int) -> MultilinearForm:
-    """The order-n form: product over j of det(column j of each matrix).
+class _ColorfulForm(MultilinearForm):
+    def __init__(self, n: int):
+        super().__init__(Shape.of(*([n] * n)), None, f"colorful order {n}")
+        self.memo: dict[tuple, Fraction] = {}
 
-    Assembled determinants repeat heavily across permuted evaluations, so
-    they are memoized on the tuple of chosen columns.
-    """
-    if n < 1:
-        raise DimensionError("colorful forms need n >= 1")
-    memo: dict[tuple, Fraction] = {}
-
-    def evaluate(A: MatrixTuple):
+    def evaluate_columns(self, cols):
+        memo = self.memo
         value: Fraction | int = 1
-        for j in range(n):
-            picked = tuple(m.column(j) for m in A.matrices)
+        for picked in zip(*cols):
             d = memo.get(picked)
             if d is None:
                 d = det(Matrix.from_columns(picked))
@@ -223,7 +227,16 @@ def colorful_form(n: int) -> MultilinearForm:
             value *= d
         return value
 
-    return MultilinearForm(Shape.of(*([n] * n)), evaluate, f"colorful order {n}")
+
+def colorful_form(n: int) -> MultilinearForm:
+    """The order-n form: product over j of det(column j of each matrix).
+
+    Assembled determinants repeat heavily across permuted evaluations, so
+    the form memoizes them on the tuple of picked columns for its lifetime.
+    """
+    if n < 1:
+        raise DimensionError("colorful forms need n >= 1")
+    return _ColorfulForm(n)
 
 
 @dataclass(frozen=True)
@@ -322,7 +335,7 @@ def verify_onn(
             lhs_raw = sum(pool.map(lambda r: _onn_partial(n, table, r[0], r[1]), ranges))
     lhs = Fraction(lhs_raw)
     if latin_count is None:
-        latin_count = alon_tarsi_count(n, threads=threads)
+        latin_count = alon_tarsi_count(n, threads=threads, term_budget=term_budget)
     rhs = Fraction(latin_count)
     for d in inst.determinants:
         rhs *= d

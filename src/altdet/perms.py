@@ -9,7 +9,9 @@ stream restartable at an arbitrary rank; parallel drivers split the full
 range into contiguous blocks and enumerate each block independently.
 
 Products of symmetric groups enumerate in mixed-radix order over per-factor
-ranks, rightmost factor fastest.
+ranks, rightmost factor fastest.  One private walker yields the raw
+``(parity, mappings)`` of each element for hot loops; `enumerate_product`
+wraps the same walk in validated `SignedPermTuple`s.
 """
 
 from __future__ import annotations
@@ -255,6 +257,43 @@ class SignedPermTuple:
         return SignedPermTuple.of(a * b for a, b in zip(self.parts, other.parts))
 
 
+def _walk_product(
+    shape: Shape, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Raw ``(parity, mappings)`` over the rank range [start, stop).
+
+    The one mixed-radix walk of the product group: per-factor plain-changes
+    ranks, rightmost factor fastest.
+    """
+    total = shape.term_count
+    stop = total if stop is None else min(stop, total)
+    start = max(start, 0)
+    pools = [_pool(s) for s in shape.sizes]
+    radices = [len(p) for p in pools]
+    digits = []
+    r = start
+    for radix in reversed(radices):
+        r, d = divmod(r, radix)
+        digits.append(d)
+    digits.reverse()
+    last = len(pools) - 1
+    for _ in range(stop - start):
+        parity = 1
+        maps = []
+        for pool, d in zip(pools, digits):
+            p = pool[d]
+            parity *= p.parity
+            maps.append(p.mapping)
+        yield parity, tuple(maps)
+        i = last
+        while i >= 0:
+            digits[i] += 1
+            if digits[i] < radices[i]:
+                break
+            digits[i] = 0
+            i -= 1
+
+
 def enumerate_product(
     shape: Shape, start: int = 0, stop: int | None = None
 ) -> Iterator[SignedPermTuple]:
@@ -264,32 +303,9 @@ def enumerate_product(
     with the rightmost factor fastest, so contiguous global ranges are
     cheap to hand to parallel workers.
     """
-    total = shape.term_count
-    if stop is None:
-        stop = total
-    start = max(start, 0)
-    stop = min(stop, total)
-    if start >= stop:
-        return
-    pools = [_pool(s) for s in shape.sizes]
-    radices = [len(p) for p in pools]
-    digits = []
-    r = start
-    for radix in reversed(radices):
-        r, d = divmod(r, radix)
-        digits.append(d)
-    digits.reverse()
-    k = len(pools)
-    for _ in range(stop - start):
-        parts = tuple(pool[d] for pool, d in zip(pools, digits))
-        yield SignedPermTuple.of(parts)
-        i = k - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < radices[i]:
-                break
-            digits[i] = 0
-            i -= 1
+    by_mapping = [{p.mapping: p for p in _pool(s)} for s in shape.sizes]
+    for parity, maps in _walk_product(shape, start, stop):
+        yield SignedPermTuple(tuple(look[m] for look, m in zip(by_mapping, maps)), parity)
 
 
 def act(sigma: SignedPermTuple, A: "MatrixTuple") -> "MatrixTuple":

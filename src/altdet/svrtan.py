@@ -46,7 +46,7 @@ from .engine import (
     partition_ranges,
 )
 from .errors import BudgetError, DimensionError, SelfCheckError
-from .exact import Matrix, Polynomial, det_int_rows, poly_det, poly_mul
+from .exact import Matrix, Polynomial, det, det_int_rows, poly_det, poly_mul
 from .perms import Shape
 
 ONE = Polynomial((1, 0))
@@ -361,12 +361,30 @@ def svrtan_search(
     return None
 
 
+class _SpinorForm(MultilinearForm):
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs = edge_pairs(n)
+        super().__init__(Shape.of(*([2] * len(self.pairs))), None, f"spinor base-choice det, n={n}")
+
+    def evaluate_columns(self, cols):
+        n = self.n
+        acc = [[1] + [0] * (n - 1) for _ in range(n)]
+        for (i, j), (to_i, to_j) in zip(self.pairs, cols):
+            # times (a + b t); a vertex has n - 1 edges, so no degree spills over
+            for v, (a, b) in ((i, to_i), (j, to_j)):
+                p = acc[v]
+                acc[v] = [a * p[0]] + [a * x + b * y for x, y in zip(p[1:], p)]
+        return det(Matrix.from_columns(acc))
+
+
 def as_engine_instance(inst: SpinorInstance) -> tuple[MultilinearForm, MatrixTuple]:
     """Recast as a form and matrix tuple of shape (2,...,2), one per edge.
 
     Each edge contributes its 2x2 coefficient matrix, columns p1 then p2;
     the form evaluates the base-choice determinant of whatever bases the
-    (possibly column-swapped) matrices carry.  Column swaps are exactly bit
+    (possibly column-swapped) matrices carry, multiplying the coefficient
+    lists of each vertex polynomial directly.  Column swaps are exactly bit
     flips with matching signs, so the general alternating sum over this
     pair reproduces the choice sum term by term, and the identity-matrix
     invariant is n!.
@@ -374,21 +392,8 @@ def as_engine_instance(inst: SpinorInstance) -> tuple[MultilinearForm, MatrixTup
     n = inst.n
     if n < 2:
         raise DimensionError("the engine recast needs n >= 2 (at least one edge)")
-    pairs = edge_pairs(n)
+    form = _SpinorForm(n)
     matrices = tuple(
         Matrix.from_columns([p1.coeffs, p2.coeffs]) for p1, p2 in inst.bases
     )
-    shape = Shape.of(*([2] * len(pairs)))
-
-    def evaluate(A: MatrixTuple):
-        acc = [Polynomial((1,) + (0,) * (n - 1))] * n
-        for idx, (i, j) in enumerate(pairs):
-            m = A.matrices[idx]
-            to_i = Polynomial(m.column(0))
-            to_j = Polynomial(m.column(1))
-            acc[i] = poly_mul(acc[i], to_i, n)
-            acc[j] = poly_mul(acc[j], to_j, n)
-        return poly_det(acc)
-
-    form = MultilinearForm(shape, evaluate, f"spinor base-choice det, n={n}")
-    return form, MatrixTuple(shape, matrices)
+    return form, MatrixTuple(form.shape, matrices)

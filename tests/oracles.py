@@ -6,7 +6,7 @@ counting for permutation sign, and itertools-driven brute enumeration.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 
 def laplace_det(rows) -> Fraction:
@@ -87,4 +87,23 @@ def brute_alternating_sum(form, matrices, act):
             rec(i + 1, acc_sign * inversion_sign(p), acc_perms + (p,))
 
     rec(0, 1, ())
+    return total
+
+
+def literal_dense_eval(coeffs, matrices):
+    """Dense tensor form by full expansion, one entry product per coefficient.
+
+    ``matrices`` are square grids given as row lists.  Slots run matrix by
+    matrix, column by column; slot (i, j) with row index r reads entry
+    (r, j) of matrix i, and coefficients are row-major over the slots' row
+    indices, last slot fastest.
+    """
+    cols = [tuple(row[j] for row in rows) for rows in matrices for j in range(len(rows))]
+    total = 0
+    for coeff, picks in zip(coeffs, product(*cols)):
+        if coeff:
+            term = coeff
+            for entry in picks:
+                term = term * entry
+            total = total + term
     return total

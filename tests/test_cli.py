@@ -67,6 +67,14 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err
 
+    def test_latin_enumeration_budget_is_three(self):
+        # L(6) = 812851200 squares: refused at once, not hours of DFS
+        code, out, err = invoke(["alon-tarsi", "--n", "6", "--term-budget", "10"])
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+
     def test_exhausted_search_is_one(self, tmp_path):
         path = singular_spinor_file(tmp_path)
         code, out, _ = invoke(["svrtan-search", "--input", str(path)])

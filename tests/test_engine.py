@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from altdet.errors import BudgetError, DimensionError
 from altdet.exact import Matrix
 from altdet.perms import Shape, SignedPermTuple, act, enumerate_product
 
-from oracles import brute_alternating_sum, invert
+from oracles import brute_alternating_sum, invert, literal_dense_eval
 
 
 def random_tuple(shape, rng, lo=-5, hi=5):
@@ -50,6 +52,46 @@ def random_dense_form(shape, rng, lo=-4, hi=4):
 def literal_act(mapping, m):
     inv = invert(mapping)
     return Matrix.from_columns([m.column(inv[j]) for j in range(len(mapping))])
+
+
+def literal_value(coeffs, mats):
+    return literal_dense_eval(coeffs, [m.entries for m in mats])
+
+
+def _shapes(limit):
+    """Shapes with k <= 3 factors of size <= 3 whose cost stays under limit."""
+    out = []
+    for k in (1, 2, 3):
+        for sizes in product((1, 2, 3), repeat=k):
+            if limit(prod(n**n for n in sizes), prod(factorial(n) for n in sizes)):
+                out.append(Shape(sizes))
+    return out
+
+
+# single evaluations: up to (3,3,2), 2916 coefficients
+EVAL_SHAPES = _shapes(lambda coeffs, terms: coeffs <= 2916)
+# literal alternating sums: one full expansion per term
+SUM_SHAPES = _shapes(lambda coeffs, terms: coeffs * terms <= 30000)
+
+
+def seeded_dense_case(shape, seed, rational, zero_column):
+    """A dense form and a tuple; Fractions with mixed denominators if rational."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rational and rng.random() < 0.5:
+            return Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4, 6)))
+        return rng.randint(-4, 4)
+
+    size = prod(n**n for n in shape)
+    grids = [[[entry() for _ in range(n)] for _ in range(n)] for n in shape]
+    if zero_column:
+        grid = rng.choice(grids)
+        j = rng.randrange(len(grid))
+        for row in grid:
+            row[j] = 0
+    A = MatrixTuple(shape, tuple(Matrix.from_rows(g) for g in grids))
+    return DenseTensorForm(shape, [entry() for _ in range(size)]), A
 
 
 class TestMatrixTuple:
@@ -241,6 +283,60 @@ class TestVerifyIdentity:
         f = random_dense_form(shape, rng)
         A = random_tuple(shape, rng, -3, 3)
         assert verify_identity(f, A).verdict
+
+
+class TestFastRoutesMatchLiteral:
+    """Column-index routes against full expansion and the literal inverse sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(EVAL_SHAPES), st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_contraction_matches_expansion(self, shape, seed, rational, zero_column):
+        f, A = seeded_dense_case(shape, seed, rational, zero_column)
+        value = f(A)
+        assert value == literal_value(f.coeffs, A.matrices)
+        if zero_column:
+            assert value == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(SUM_SHAPES),
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    def test_alternating_sum_matches_brute(self, shape, seed, rational, zero_column, threads):
+        f, A = seeded_dense_case(shape, seed, rational, zero_column)
+        expected = brute_alternating_sum(
+            lambda mats: literal_value(f.coeffs, mats), A.matrices, literal_act
+        )
+        assert alternating_sum(f, A, threads=threads) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(EVAL_SHAPES), st.integers(0, 2**32), st.booleans(), st.integers(1, 4))
+    def test_direct_invariant_matches_generic_sum(self, shape, seed, rational, threads):
+        f, _ = seeded_dense_case(shape, seed, rational, False)
+        generic = MultilinearForm(shape, f, "dense form through the fallback")
+        assert invariant_at_identity(f, threads=threads) == invariant_at_identity(
+            generic, threads=threads
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(SUM_SHAPES),
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    def test_closure_form_through_fallback(self, shape, seed, rational, zero_column, threads):
+        f, A = seeded_dense_case(shape, seed, rational, zero_column)
+        closure = MultilinearForm(
+            shape, lambda B: literal_value(f.coeffs, B.matrices), "closure"
+        )
+        assert closure(A) == f(A)
+        assert alternating_sum(closure, A, threads=threads) == alternating_sum(f, A)
+        assert invariant_at_identity(closure, threads=threads) == invariant_at_identity(f)
 
 
 class TestPartition:

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altdet.engine import invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError, InputError
 from altdet.exact import Matrix, det
 from altdet.onn import (
+    LATIN_SQUARE_COUNTS,
     ColorfulInstance,
     LatinSquare,
     alon_tarsi_count,
@@ -19,8 +22,9 @@ from altdet.onn import (
     rota_search,
     verify_onn,
 )
+from altdet.perms import act, enumerate_product
 
-from oracles import brute_latin_squares, inversion_sign
+from oracles import brute_latin_squares, inversion_sign, laplace_det
 
 
 def random_colorful(n, rng, lo=-5, hi=5, nonsingular=False):
@@ -102,6 +106,18 @@ class TestAlonTarsi:
         with pytest.raises(DimensionError):
             alon_tarsi_count(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_square_counts_match_enumeration(self, n):
+        assert LATIN_SQUARE_COUNTS[n - 1] == len(brute_latin_squares(n))
+
+    def test_term_budget(self):
+        # L(6) = 812851200 squares exceed the default budget: raises before the DFS
+        with pytest.raises(BudgetError, match="812851200"):
+            alon_tarsi_count(6)
+        with pytest.raises(BudgetError):
+            alon_tarsi_count(4, term_budget=575)
+        assert alon_tarsi_count(4, term_budget=576) == 576
+
 
 class TestColorfulForm:
     def test_order_1(self):
@@ -122,6 +138,27 @@ class TestColorfulForm:
         ).as_matrix_tuple()
         # position 1: det(e1, e2) = 1; position 2: det(e2, e1) = -1
         assert f(A) == -1
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32), st.booleans())
+    def test_column_hook_matches_materialized_terms(self, n, seed, rational):
+        rng = random.Random(seed)
+
+        def entry():
+            if rational and rng.random() < 0.5:
+                return Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4)))
+            return rng.randint(-2, 2)
+
+        A = ColorfulInstance.of(
+            [Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(n)]
+        ).as_matrix_tuple()
+        term = colorful_form(n).column_term(A)
+        for sigma in enumerate_product(A.shape):
+            moved = act(sigma.inverse, A).matrices
+            expected = prod(
+                laplace_det([[m.entries[r][j] for m in moved] for r in range(n)]) for j in range(n)
+            )
+            assert term(tuple(p.mapping for p in sigma.parts)) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invariant_is_latin_count(self, n):

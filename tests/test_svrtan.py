@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from altdet.engine import invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError
-from altdet.exact import Polynomial
+from altdet.exact import Polynomial, poly_det, poly_mul
+from altdet.perms import act, enumerate_product
 from altdet.svrtan import (
     _point_dets,
     _point_values,
@@ -354,6 +355,21 @@ class TestEngineRecast:
         inst = random_spinor(3, rng)
         form, A = as_engine_instance(inst)
         assert form(A) == choice_det(inst, Choice.base(3))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32), st.booleans())
+    def test_column_hook_matches_materialized_terms(self, n, seed, rational):
+        rng = random.Random(seed)
+        inst = rational_spinor(n, rng) if rational else random_spinor(n, rng)
+        form, A = as_engine_instance(inst)
+        term = form.column_term(A)
+        for sigma in enumerate_product(A.shape):
+            moved = act(sigma.inverse, A).matrices
+            acc = [Polynomial((1,) + (0,) * (n - 1))] * n
+            for (i, j), m in zip(edge_pairs(n), moved):
+                acc[i] = poly_mul(acc[i], Polynomial(m.column(0)), n)
+                acc[j] = poly_mul(acc[j], Polynomial(m.column(1)), n)
+            assert term(tuple(p.mapping for p in sigma.parts)) == poly_det(acc)
 
     def test_invariant_is_factorial(self):
         for n in (2, 3):
