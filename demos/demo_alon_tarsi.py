@@ -32,5 +32,5 @@ by_engine = invariant_at_identity(colorful_form(n))
 print(f"\nengine invariant at n={n}:", by_engine)
 assert by_engine == alon_tarsi_count(n)
 
-# odd orders vanish in pairs: swapping two symbols flips the sign
+# odd orders vanish in pairs: swapping two rows flips the sign of every column
 print("l(5) =", alon_tarsi_count(5), "(odd order, forced to zero)")

@@ -251,7 +251,7 @@ def cmd_alon_tarsi(cfg: RunConfig) -> tuple[Report, int]:
         notes.append("cross-checked against the colorful-form invariant")
     else:
         rhs = lhs
-        notes.append("single route (full enumeration); pass --cross-check to compare")
+        notes.append("single route (reduced-square count); pass --cross-check to compare")
     verdict = lhs == rhs
     report = Report(
         command=cfg.command,
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_shape_arg, help="shape, for dense")
     p.add_argument("--seed", type=_seed_arg, default=0, help="seed, for dense")
 
-    p = add("alon-tarsi", "signed Latin-square count l(n) by full enumeration")
+    p = add("alon-tarsi", "signed Latin-square count l(n) from the reduced squares")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--cross-check", action="store_true",
                    help="also compute the colorful-form invariant and compare")
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--node-budget", type=_positive, default=DEFAULT_NODE_BUDGET,
-                   help="cap on assembled-determinant tests")
+                   help="cap on column picks tested")
 
     p = add("verify-svrtan", "check the n! formula on a spinor instance")
     p.add_argument("--input", help="spinor JSON file, or - for stdin")

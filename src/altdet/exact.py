@@ -135,21 +135,27 @@ def _int_det(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def int_scaled(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    dens = [x.denominator for x in values]
+    scale = lcm(*dens)
+    if scale == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (scale // d) for x, d in zip(values, dens)], scale
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    scales = [lcm(*(row[j].denominator for row in m.entries)) for j in range(n)]
-    grid = [
-        [x.numerator * (scales[j] // x.denominator) for j, x in enumerate(row)]
-        for row in m.entries
-    ]
-    value = _int_det(grid)
+    # eliminate on the scaled columns as rows: det(A^T) = det(A)
+    grid = []
     scale = 1
-    for s in scales:
+    for col in m.columns():
+        ints, s = int_scaled(col)
+        grid.append(ints)
         scale *= s
-    return Fraction(value, scale)
+    return Fraction(_int_det(grid), scale)
 
 
 def det_int_rows(rows: Sequence[Sequence[int]]) -> int:

@@ -13,11 +13,19 @@ which this module checks directly, and which powers the transversal search:
 whenever l(n) != 0 and every matrix is nonsingular, some term on the left
 is nonzero, so a full selection of disjoint nonzero transversals exists.
 
-Two independent routes compute l(n): full cell-by-cell enumeration of Latin
+Two independent routes compute l(n): a cell-by-cell enumeration of Latin
 squares with an incrementally maintained sign, and the engine's invariant
 of the colorful form.  Tests require them to agree, which also pins the
 sign convention for a square (product of the signs of all rows and all
-columns read as permutations).
+columns read as permutations).  The enumeration is orbit-reduced: for odd
+n >= 3, swapping two rows flips the sign of every column, so l(n) = 0; for
+even n, permuting rows or symbols keeps the sign, so l(n) is n!(n-1)! times
+the signed count of reduced squares (first row and first column the
+identity), as in L(n) = n!(n-1)!R(n) of McKay & Wanless (Ann. Comb. 2005).
+
+The direct check of the identity sums the last permutation of each tuple
+out in one determinant, and the transversal search drops every partial
+selection whose picked columns are already linearly dependent.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ from typing import Iterable, Iterator
 
 from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, partition_ranges
 from .errors import BudgetError, DimensionError, InputError
-from .exact import Matrix, det
-from .perms import Shape, SignedPerm, SignedPermTuple, enumerate_signed, _pool
+from .exact import Matrix, _int_det, det, int_scaled
+from .perms import Shape, SignedPerm, SignedPermTuple, _pool
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
@@ -108,17 +116,22 @@ def latin_squares(n: int) -> Iterator[LatinSquare]:
     yield from fill(0, 0, 0)
 
 
-def _signed_completions(n: int, cols: list[int], start_row: int, sign: int) -> int:
+def _signed_completions(
+    n: int, cols: list[int], start_row: int, sign: int, *, reduced: bool = False
+) -> int:
     """Signed count of ways to finish rows start_row..n-1 given column masks.
 
     Placing value v at (r, c) adds one inversion to row r for each larger
     value already in the row, and to column c for each larger value already
     in the column; both live in the masks, so the sign update is two
-    popcounts.
+    popcounts.  With ``reduced``, cell (r, 0) is pinned to r, as in a
+    reduced square: every value above it in column 0 is smaller and its row
+    is still empty, so it adds no inversion and each row starts at column 1.
     """
     if start_row == n:
         return sign
     full = (1 << n) - 1
+    first = 1 if reduced else 0
     total = 0
 
     def fill(r: int, c: int, row_mask: int, sign: int):
@@ -127,7 +140,8 @@ def _signed_completions(n: int, cols: list[int], start_row: int, sign: int) -> i
             if r + 1 == n:
                 total += sign
             else:
-                fill(r + 1, 0, 0, sign)
+                # a reduced row starts with value r + 1 already in its mask
+                fill(r + 1, first, first << (r + 1), sign)
             return
         avail = full & ~row_mask & ~cols[c]
         while avail:
@@ -139,41 +153,36 @@ def _signed_completions(n: int, cols: list[int], start_row: int, sign: int) -> i
             fill(r, c + 1, row_mask | bit, -sign if flips & 1 else sign)
             cols[c] ^= bit
 
-    fill(start_row, 0, 0, sign)
+    fill(start_row, first, first << start_row, sign)
     return total
 
 
 def alon_tarsi_count(
     n: int, *, threads: int = 1, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> int:
-    """l(n): even minus odd order-n Latin squares, by full enumeration.
+    """l(n): even minus odd order-n Latin squares, by orbit reduction.
 
-    Workers split the choice of first row by rank range; each then runs the
-    masked DFS over the remaining rows with the sign maintained in place.
-    The enumeration visits L(n) squares, the number of order-n Latin
+    Odd n >= 3 gives 0: swapping two rows flips the sign of every column.
+    For even n (and n = 1) every square shares its sign with the one reduced
+    square in its orbit under row and symbol permutations, and each orbit
+    has n!(n-1)! squares, so l(n) is n!(n-1)! times the signed count of
+    reduced squares, taken by the masked DFS over rows 1..n-1 with column 0
+    pinned.  The count stands for L(n) squares, the number of order-n Latin
     squares; more than ``term_budget`` raises before any work starts.
+    ``threads`` is accepted for a uniform signature and unused.
     """
     if n < 1:
         raise DimensionError("Latin squares need order >= 1")
     if n > MAX_FULL_ORDER:
-        raise BudgetError(f"full enumeration is capped at order {MAX_FULL_ORDER}, got {n}")
+        raise BudgetError(f"Latin square counts are capped at order {MAX_FULL_ORDER}, got {n}")
     squares = LATIN_SQUARE_COUNTS[n - 1]
     if squares > term_budget:
         raise BudgetError("Latin square enumeration has too many terms", count=squares, budget=term_budget)
-
-    def over_first_rows(lo: int, hi: int) -> int:
-        subtotal = 0
-        for first in enumerate_signed(n, lo, hi):
-            # first row: its own sign, no column inversions yet
-            cols = [1 << v for v in first.mapping]
-            subtotal += _signed_completions(n, cols, 1, first.parity)
-        return subtotal
-
-    ranges = partition_ranges(factorial(n), threads)
-    if len(ranges) == 1:
-        return over_first_rows(0, factorial(n))
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return sum(pool.map(lambda r: over_first_rows(r[0], r[1]), ranges))
+    if n % 2 and n > 1:
+        return 0
+    # first row the identity: column c holds value c, and the row's sign is +1
+    reduced = _signed_completions(n, [1 << c for c in range(n)], 1, 1, reduced=True)
+    return factorial(n) * factorial(n - 1) * reduced
 
 
 @dataclass(frozen=True)
@@ -254,51 +263,52 @@ class OnnReport:
         return self.lhs == self.rhs
 
 
-def _transversal_det_table(inst: ColorfulInstance) -> list:
-    """Determinant of every possible assembled transversal, flat-indexed.
+def _transversal_det_table(inst: ColorfulInstance) -> tuple[list[int], int]:
+    """Determinant of every possible assembled transversal, scaled to integers.
 
     Index encodes the chosen column of each matrix in base n, matrix 1 most
-    significant.  Size n**n; at n = 4 that is 256 determinants, after which
-    the alternating sum is pure table lookups.
+    significant.  Size n**n; at n = 4 that is 256 determinants.  Every entry
+    is multiplied by the lcm D of their denominators, returned with the
+    table, so the alternating sum runs over integers and is divided by D**n
+    once.
     """
     n = inst.n
     cols = [m.columns() for m in inst.matrices]
-    table: list = []
+    dets: list[Fraction] = []
     picks = [0] * n
 
     def build(i: int):
         if i == n:
-            table.append(det(Matrix.from_columns([cols[k][picks[k]] for k in range(n)])))
+            dets.append(det(Matrix.from_columns([cols[k][picks[k]] for k in range(n)])))
             return
         for c in range(n):
             picks[i] = c
             build(i + 1)
 
     build(0)
-    if all(d.denominator == 1 for d in table):
-        return [int(d) for d in table]
-    return table
+    return int_scaled(dets)
 
 
-def _onn_partial(n: int, table: list, first_lo: int, first_hi: int):
+def _onn_partial(n: int, table: list[int], first_lo: int, first_hi: int) -> int:
     """Signed sum over tuples whose first factor rank lies in [lo, hi).
 
-    Each level extends the per-position table keys by Horner steps; a zero
-    determinant at any position kills the term.
+    Levels 0..n-2 pick the first n-1 permutations and extend the
+    per-position table keys k_j by Horner steps.  The last permutation is
+    summed out whole: the sum over sigma_n of sgn(sigma_n) times the product
+    over j of table[k_j*n + sigma_n(j)] is det(M) with M[j][c] =
+    table[k_j*n + c].  So each node at level n-1 is one integer Bareiss
+    determinant instead of n! leaf products.  For n = 1 that node is the
+    root, and the rank range must be the whole of Sigma_1.
     """
     pool = _pool(n)
+    last = n - 1
     total = 0
 
     def descend(level: int, sign: int, keys: tuple[int, ...]):
         nonlocal total
-        if level == n:
-            prod = 1
-            for k in keys:
-                d = table[k]
-                if not d:
-                    return
-                prod *= d
-            total += sign * prod
+        if level == last:
+            value = _int_det([table[k * n:k * n + n] for k in keys])
+            total += value if sign > 0 else -value
             return
         lo, hi = (first_lo, first_hi) if level == 0 else (0, len(pool))
         for p in pool[lo:hi]:
@@ -326,14 +336,14 @@ def verify_onn(
     terms = factorial(n) ** n
     if terms > term_budget:
         raise BudgetError("colorful alternating sum has too many terms", count=terms, budget=term_budget)
-    table = _transversal_det_table(inst)
+    table, scale = _transversal_det_table(inst)
     ranges = partition_ranges(factorial(n), threads)
     if len(ranges) == 1:
         lhs_raw = _onn_partial(n, table, 0, factorial(n))
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             lhs_raw = sum(pool.map(lambda r: _onn_partial(n, table, r[0], r[1]), ranges))
-    lhs = Fraction(lhs_raw)
+    lhs = Fraction(lhs_raw, scale**n)
     if latin_count is None:
         latin_count = alon_tarsi_count(n, threads=threads, term_budget=term_budget)
     rhs = Fraction(latin_count)
@@ -375,20 +385,46 @@ class TransversalSelection:
         return all(d != 0 for d in self.transversal_determinants(inst))
 
 
+def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> tuple[int, list[int]] | None:
+    """Reduce ``col`` against Bareiss rows; None when it lies in their span.
+
+    ``basis`` holds (pivot index, row) pairs, each row already reduced by
+    the rows before it.  Step t maps v to (p_t*v - v[pivot_t]*row_t) / p_(t-1),
+    with p the row pivots and p_(-1) = 1; the division is exact because every
+    entry is then a minor of the picked columns (Sylvester's identity).
+    """
+    v = col
+    prev = 1
+    for p, row in basis:
+        pivot, f = row[p], v[p]
+        v = [(x * pivot - f * y) // prev for x, y in zip(v, row)]
+        prev = pivot
+    for p, x in enumerate(v):
+        if x:
+            return p, v
+    return None
+
+
 def rota_search(
     inst: ColorfulInstance, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> TransversalSelection | None:
     """First full selection of disjoint nonzero transversals, or None.
 
     Positions are handled in order; within a position, column indices are
-    tried ascending for matrix 1, then matrix 2, and so on, and a combo is
-    kept only if its assembled determinant is nonzero.  Each determinant
-    test costs one node against the budget.  None means the whole tree was
-    exhausted, which the identity rules out for nonsingular instances with
-    l(n) != 0.
+    tried ascending for matrix 1, then matrix 2, and so on.  Each position
+    keeps a fraction-free elimination of the columns picked so far, over
+    columns scaled once by the lcm of their denominators.  A pick that
+    reduces to zero is skipped, since no completion of the position can
+    have a nonzero determinant; n picks that all survive assemble a
+    nonsingular transversal.  The skipped subtrees hold only zero
+    determinants, so the first selection is the one the plain
+    determinant-per-combo search finds.  Each pick tested is one node
+    against the budget.  None means the whole tree was exhausted, which the
+    identity rules out for nonsingular instances with l(n) != 0.
     """
     n = inst.n
-    cols = [m.columns() for m in inst.matrices]
+    # a positive scale changes no column's span
+    cols = [[int_scaled(col)[0] for col in m.columns()] for m in inst.matrices]
     used = [[False] * n for _ in range(n)]
     sel = [[0] * n for _ in range(n)]
     nodes = 0
@@ -396,20 +432,21 @@ def rota_search(
     def position(j: int) -> bool:
         return j == n or choose(j, 0, [])
 
-    def choose(j: int, i: int, picked: list) -> bool:
+    def choose(j: int, i: int, basis: list) -> bool:
         nonlocal nodes
         if i == n:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("transversal search hit the node cap", count=nodes, budget=node_budget)
-            if det(Matrix.from_columns(picked)) == 0:
-                return False
             return position(j + 1)
         for c in range(n):
             if not used[i][c]:
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetError("transversal search hit the node cap", count=nodes, budget=node_budget)
+                reduced = _eliminate(cols[i][c], basis)
+                if reduced is None:
+                    continue
                 used[i][c] = True
                 sel[i][j] = c
-                if choose(j, i + 1, picked + [cols[i][c]]):
+                if choose(j, i + 1, basis + [reduced]):
                     return True
                 used[i][c] = False
         return False

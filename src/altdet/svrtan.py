@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterator
 
 from .engine import (
@@ -46,7 +46,7 @@ from .engine import (
     partition_ranges,
 )
 from .errors import BudgetError, DimensionError, SelfCheckError
-from .exact import Matrix, Polynomial, det, det_int_rows, poly_det, poly_mul
+from .exact import Matrix, Polynomial, det, det_int_rows, int_scaled, poly_det, poly_mul
 from .perms import Shape
 
 ONE = Polynomial((1, 0))
@@ -203,8 +203,7 @@ def _point_values(inst: SpinorInstance) -> tuple[list, int]:
     for basis in inst.bases:
         pair = []
         for p in basis:
-            scale = lcm(*(c.denominator for c in p.coeffs))
-            c0, c1 = (c.numerator * (scale // c.denominator) for c in p.coeffs)
+            (c0, c1), scale = int_scaled(p.coeffs)
             pair.append(tuple(c0 + c1 * x for x in range(n)))
             divisor *= scale
         values.append(pair)

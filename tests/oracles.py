@@ -107,3 +107,87 @@ def literal_dense_eval(coeffs, matrices):
                 term = term * entry
             total = total + term
     return total
+
+
+def first_row_latin_count(n, completions):
+    """l(n) by the full first-row DFS: every first row, each finished in full.
+
+    ``completions(n, cols, start_row, sign)`` returns the signed count of
+    the ways to fill rows start_row..n-1 given per-column masks of the
+    values placed so far.  First rows come in lexicographic order with
+    their signs from inversion counting.
+    """
+    total = 0
+    for first in all_mappings(n):
+        total += completions(n, [1 << v for v in first], 1, inversion_sign(first))
+    return total
+
+
+def leaf_product_colorful_sum(matrices):
+    """Left side of the colorful identity, one determinant product per leaf.
+
+    ``matrices`` are n square grids of size n given as row lists.  Every
+    tuple of n permutations is a leaf; transversal j takes column
+    sigma_i(j) of matrix i, and the table of transversal determinants is
+    keyed in base n with matrix 1 most significant, extended by one Horner
+    step per level.
+    """
+    n = len(matrices)
+    cols = [[[row[c] for row in m] for c in range(n)] for m in matrices]
+    table = [
+        laplace_det([[cols[i][picks[i]][r] for i in range(n)] for r in range(n)])
+        for picks in product(range(n), repeat=n)
+    ]
+    if all(d.denominator == 1 for d in table):
+        table = [int(d) for d in table]
+    signed = [(p, inversion_sign(p)) for p in all_mappings(n)]
+    total = 0
+
+    def descend(level, sign, keys):
+        nonlocal total
+        if level == n:
+            term = sign
+            for k in keys:
+                if not table[k]:
+                    return
+                term *= table[k]
+            total += term
+            return
+        for p, s in signed:
+            descend(level + 1, sign * s, tuple(k * n + p[j] for j, k in enumerate(keys)))
+
+    descend(0, 1, (0,) * n)
+    return Fraction(total)
+
+
+def combo_det_rota_search(matrices):
+    """First selection by testing the determinant of every full combo, or None.
+
+    Positions go in order; within one, column indices are tried ascending
+    for matrix 1, then matrix 2, and so on, each column of a matrix used at
+    most once.  Returns sel with sel[i][j] the column of matrix i used at
+    position j.
+    """
+    n = len(matrices)
+    cols = [[[row[c] for row in m] for c in range(n)] for m in matrices]
+    used = [[False] * n for _ in range(n)]
+    sel = [[0] * n for _ in range(n)]
+
+    def position(j):
+        return j == n or choose(j, 0, [])
+
+    def choose(j, i, picked):
+        if i == n:
+            if laplace_det([[col[r] for col in picked] for r in range(n)]) == 0:
+                return False
+            return position(j + 1)
+        for c in range(n):
+            if not used[i][c]:
+                used[i][c] = True
+                sel[i][j] = c
+                if choose(j, i + 1, picked + [cols[i][c]]):
+                    return True
+                used[i][c] = False
+        return False
+
+    return [tuple(row) for row in sel] if position(0) else None

@@ -1,6 +1,7 @@
 """Scalar parsing, matrices, determinants and polynomial arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from altdet import (
     poly_det,
     poly_mul,
 )
-from altdet.exact import det_int_rows
+from altdet.exact import det_int_rows, int_scaled
 
 from oracles import laplace_det
 
@@ -127,6 +128,13 @@ class TestDet:
     )
     def test_int_fast_path_matches_laplace(self, rows):
         assert det_int_rows(rows) == laplace_det(rows)
+
+    @given(st.lists(st.one_of(rationals, st.integers(-9, 9)), min_size=1, max_size=6))
+    def test_int_scaled_is_exact_and_least(self, values):
+        ints, scale = int_scaled(values)
+        assert [Fraction(x, scale) for x in ints] == [Fraction(v) for v in values]
+        assert all(type(x) is int for x in ints)
+        assert scale == lcm(*(Fraction(v).denominator for v in values))
 
     def test_pivot_search_hits_zero_column(self):
         m = Matrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])

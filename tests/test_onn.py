@@ -15,6 +15,7 @@ from altdet.onn import (
     LATIN_SQUARE_COUNTS,
     ColorfulInstance,
     LatinSquare,
+    _signed_completions,
     alon_tarsi_count,
     colorful_form,
     latin_sign,
@@ -24,7 +25,14 @@ from altdet.onn import (
 )
 from altdet.perms import act, enumerate_product
 
-from oracles import brute_latin_squares, inversion_sign, laplace_det
+from oracles import (
+    brute_latin_squares,
+    combo_det_rota_search,
+    first_row_latin_count,
+    inversion_sign,
+    laplace_det,
+    leaf_product_colorful_sum,
+)
 
 
 def random_colorful(n, rng, lo=-5, hi=5, nonsingular=False):
@@ -274,3 +282,85 @@ class TestCrossOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_latin_count_equals_form_invariant(self, n):
         assert alon_tarsi_count(n) == invariant_at_identity(colorful_form(n))
+
+
+LATIN_COUNTS = {1: 1, 2: 2, 3: 0, 4: 576}
+
+
+def drawn_colorful(n, rng, rational=False, zero_column=False, repeated_column=False):
+    """n random n x n matrices as row lists.
+
+    Optionally mixed-denominator Fraction entries, and one matrix made
+    singular by zeroing a column or by copying one column onto another.
+    """
+
+    def entry():
+        if rational and rng.random() < 0.5:
+            return Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4, 6)))
+        return rng.randint(-3, 3)
+
+    mats = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    rows = mats[rng.randrange(n)]
+    a = rng.randrange(n)
+    b = (a + 1 + rng.randrange(n - 1)) % n if n > 1 else a
+    for row in rows:
+        if zero_column:
+            row[a] = 0
+        elif repeated_column:
+            row[b] = row[a]
+    return mats
+
+
+def permutation_matrices(n, rng):
+    mats = []
+    for _ in range(n):
+        p = list(range(n))
+        rng.shuffle(p)
+        mats.append([[1 if p[r] == c else 0 for c in range(n)] for r in range(n)])
+    return mats
+
+
+class TestFastRoutesMatchLiteral:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_count_equals_first_row_dfs(self, n):
+        assert alon_tarsi_count(n) == first_row_latin_count(n, _signed_completions)
+
+    def test_pinned_values(self):
+        assert alon_tarsi_count(6, term_budget=LATIN_SQUARE_COUNTS[5]) == 199065600
+        assert alon_tarsi_count(7, term_budget=LATIN_SQUARE_COUNTS[6]) == 0
+
+    @settings(max_examples=16, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.booleans(), st.booleans(), st.integers(1, 4))
+    def test_verify_onn_matches_leaf_products(self, n, seed, rational, zero_column, threads):
+        # the literal route multiplies Fractions at each of the 24**4 leaves
+        # of n = 4 (about 5 s), so rational n = 4 has its own single case
+        mats = drawn_colorful(n, random.Random(seed), rational and n < 4, zero_column)
+        self.check_onn(mats, threads)
+
+    def test_verify_onn_rational_order_4(self):
+        self.check_onn(drawn_colorful(4, random.Random(404), rational=True), threads=2)
+
+    @staticmethod
+    def check_onn(mats, threads):
+        report = verify_onn(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats), threads=threads)
+        assert report.lhs == leaf_product_colorful_sum(mats)
+        assert report.rhs == LATIN_COUNTS[len(mats)] * prod(laplace_det(rows) for rows in mats)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(("random", "repeated column", "zero column", "permutation")),
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+    )
+    def test_rota_matches_combo_det_search(self, kind, n, seed):
+        rng = random.Random(seed)
+        if kind == "permutation":
+            mats = permutation_matrices(n, rng)
+        elif kind == "zero column":
+            # every selection fails, so both searches walk the whole tree: keep it small
+            mats = drawn_colorful(min(n, 3), rng, rational=True, zero_column=True)
+        else:
+            mats = drawn_colorful(n, rng, rational=True, repeated_column=kind == "repeated column")
+        sel = rota_search(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats))
+        found = None if sel is None else [p.mapping for p in sel.sigma.parts]
+        assert found == combo_det_rota_search(mats)
