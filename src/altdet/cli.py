@@ -465,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive, default=_default_threads(),
-                        help="worker count (default: ALTDET_THREADS or 1)")
+                        help="worker threads for the term loops of verify-general, invariant, "
+                        "verify-svrtan and alon-tarsi --cross-check; verify-onn and the alon-tarsi "
+                        "count run serially whatever it says (default: ALTDET_THREADS or 1)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report layout on stdout")
     common.add_argument("--term-budget", type=_positive, default=DEFAULT_TERM_BUDGET,

@@ -29,7 +29,6 @@ combined result is independent of the partition.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -195,6 +194,22 @@ def partition_ranges(length: int, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
+def _fan_out(range_sum: Callable[[int, int], Scalar], length: int, threads: int) -> Scalar:
+    """range_sum(0, length), split over up to ``threads`` workers.
+
+    The partials of the contiguous balanced ranges are added in range
+    order, so the total does not depend on the split.  The thread pool is
+    imported only when one is started.
+    """
+    ranges = partition_ranges(length, threads)
+    if len(ranges) == 1:
+        return range_sum(0, length)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return sum(pool.map(lambda r: range_sum(*r), ranges))
+
+
 def _range_sum(term: Term, shape: Shape, start: int, stop: int) -> Fraction:
     total: Scalar = 0
     for parity, maps in _walk_product(shape, start, stop):
@@ -208,12 +223,7 @@ def _signed_sum(term: Term, shape: Shape, threads: int, term_budget: int) -> Fra
     terms = shape.term_count
     if terms > term_budget:
         raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
-    ranges = partition_ranges(terms, threads)
-    if len(ranges) == 1:
-        return _range_sum(term, shape, 0, terms)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        partials = pool.map(lambda r: _range_sum(term, shape, r[0], r[1]), ranges)
-        return sum(partials, Fraction(0))
+    return _fan_out(lambda lo, hi: _range_sum(term, shape, lo, hi), terms, threads)
 
 
 def alternating_sum(

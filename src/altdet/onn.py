@@ -23,20 +23,24 @@ even n, permuting rows or symbols keeps the sign, so l(n) is n!(n-1)! times
 the signed count of reduced squares (first row and first column the
 identity), as in L(n) = n!(n-1)!R(n) of McKay & Wanless (Ann. Comb. 2005).
 
-The direct check of the identity sums the last permutation of each tuple
-out in one determinant, and the transversal search drops every partial
-selection whose picked columns are already linearly dependent.
+The direct check uses position symmetry: for pi in Sigma_n, the bijection
+(sigma_1,...,sigma_n) -> (sigma_1 pi,...,sigma_n pi) only reorders the
+transversals and multiplies the sign by sgn(pi)**n, so the left side is 0
+for odd n >= 3 and otherwise n! times its part with sigma_1 the identity,
+which sums each tuple's last permutation out in one integer determinant.
+The transversal search drops every partial selection whose picked columns
+are already linearly dependent.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, partition_ranges
+from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm
 from .errors import BudgetError, DimensionError, InputError
 from .exact import Matrix, _int_det, det, int_scaled
 from .perms import Shape, SignedPerm, SignedPermTuple, _pool
@@ -267,38 +271,34 @@ def _transversal_det_table(inst: ColorfulInstance) -> tuple[list[int], int]:
     """Determinant of every possible assembled transversal, scaled to integers.
 
     Index encodes the chosen column of each matrix in base n, matrix 1 most
-    significant.  Size n**n; at n = 4 that is 256 determinants.  Every entry
-    is multiplied by the lcm D of their denominators, returned with the
-    table, so the alternating sum runs over integers and is divided by D**n
-    once.
+    significant.  Size n**n; at n = 4 that is 256 determinants.  Matrix i is
+    scaled once by the lcm s_i of its denominators, so every entry is an
+    integer Bareiss determinant of integer columns, and the table's scale,
+    returned with it, is s_1 * ... * s_n.
     """
     n = inst.n
-    cols = [m.columns() for m in inst.matrices]
-    dets: list[Fraction] = []
-    picks = [0] * n
-
-    def build(i: int):
-        if i == n:
-            dets.append(det(Matrix.from_columns([cols[k][picks[k]] for k in range(n)])))
-            return
-        for c in range(n):
-            picks[i] = c
-            build(i + 1)
-
-    build(0)
-    return int_scaled(dets)
+    cols = []
+    scale = 1
+    for m in inst.matrices:
+        ints, s = int_scaled([x for row in m.entries for x in row])
+        cols.append([ints[c::n] for c in range(n)])
+        scale *= s
+    # picked columns as rows: det(A^T) = det(A)
+    picks = product(range(n), repeat=n)
+    return [_int_det([cols[i][c][:] for i, c in enumerate(p)]) for p in picks], scale
 
 
-def _onn_partial(n: int, table: list[int], first_lo: int, first_hi: int) -> int:
-    """Signed sum over tuples whose first factor rank lies in [lo, hi).
+def _onn_partial(n: int, table: list[int]) -> int:
+    """Signed sum over the tuples whose first permutation is the identity.
 
-    Levels 0..n-2 pick the first n-1 permutations and extend the
-    per-position table keys k_j by Horner steps.  The last permutation is
-    summed out whole: the sum over sigma_n of sgn(sigma_n) times the product
-    over j of table[k_j*n + sigma_n(j)] is det(M) with M[j][c] =
-    table[k_j*n + c].  So each node at level n-1 is one integer Bareiss
-    determinant instead of n! leaf products.  For n = 1 that node is the
-    root, and the rank range must be the whole of Sigma_1.
+    By position symmetry every other tuple repeats one of these terms, with
+    the sign times sgn(pi)**n, so the whole sum is n! times this one for
+    even n.  sigma_1 = id sets the per-position table keys k_j to j; levels
+    1..n-2 pick sigma_2..sigma_(n-1) and extend the keys by Horner steps.
+    The last permutation is summed out whole: the sum over sigma_n of
+    sgn(sigma_n) times the product over j of table[k_j*n + sigma_n(j)] is
+    det(M) with M[j][c] = table[k_j*n + c], one integer Bareiss determinant
+    per level-(n-1) node.  For n = 1, sigma_1 is summed out at the root.
     """
     pool = _pool(n)
     last = n - 1
@@ -310,12 +310,11 @@ def _onn_partial(n: int, table: list[int], first_lo: int, first_hi: int) -> int:
             value = _int_det([table[k * n:k * n + n] for k in keys])
             total += value if sign > 0 else -value
             return
-        lo, hi = (first_lo, first_hi) if level == 0 else (0, len(pool))
-        for p in pool[lo:hi]:
+        for p in pool:
             m = p.mapping
             descend(level + 1, sign * p.parity, tuple(k * n + m[j] for j, k in enumerate(keys)))
 
-    descend(0, 1, (0,) * n)
+    descend(min(1, last), 1, tuple(range(n)))
     return total
 
 
@@ -328,32 +327,32 @@ def verify_onn(
 ) -> OnnReport:
     """Check the colorful identity on one instance, exactly.
 
-    The left side sums (n!)**n signed products of transversal determinants;
-    the right side is l(n) times the product of the matrix determinants.
-    Pass ``latin_count`` to reuse a precomputed l(n).
+    The left side sums (n!)**n signed products of transversal determinants,
+    all charged to ``term_budget``; by position symmetry it is 0 for odd
+    n >= 3 and otherwise n! times the part with sigma_1 the identity,
+    (n!)**(n-2) integer determinants.  The right side is l(n) times the
+    product of the matrix determinants.  Pass ``latin_count`` to reuse a
+    precomputed l(n).  ``threads`` is accepted for a uniform signature and
+    unused.
     """
     n = inst.n
     terms = factorial(n) ** n
     if terms > term_budget:
         raise BudgetError("colorful alternating sum has too many terms", count=terms, budget=term_budget)
-    table, scale = _transversal_det_table(inst)
-    ranges = partition_ranges(factorial(n), threads)
-    if len(ranges) == 1:
-        lhs_raw = _onn_partial(n, table, 0, factorial(n))
+    if n % 2 and n > 1:
+        lhs = Fraction(0)
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            lhs_raw = sum(pool.map(lambda r: _onn_partial(n, table, r[0], r[1]), ranges))
-    lhs = Fraction(lhs_raw, scale**n)
+        table, scale = _transversal_det_table(inst)
+        lhs = Fraction(factorial(n) * _onn_partial(n, table), scale**n)
     if latin_count is None:
         latin_count = alon_tarsi_count(n, threads=threads, term_budget=term_budget)
-    rhs = Fraction(latin_count)
-    for d in inst.determinants:
-        rhs *= d
+    dets = inst.determinants
+    rhs = prod(dets, start=Fraction(latin_count))
     return OnnReport(
         lhs=lhs,
         rhs=rhs,
         latin_count=latin_count,
-        determinants=inst.determinants,
+        determinants=dets,
         term_count=terms,
     )
 

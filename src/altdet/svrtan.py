@@ -32,19 +32,13 @@ choice_det are the literal route.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Iterator
 
-from .engine import (
-    DEFAULT_TERM_BUDGET,
-    MatrixTuple,
-    MultilinearForm,
-    partition_ranges,
-)
+from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, _fan_out
 from .errors import BudgetError, DimensionError, SelfCheckError
 from .exact import Matrix, Polynomial, det, det_int_rows, int_scaled, poly_det, poly_mul
 from .perms import Shape
@@ -295,13 +289,7 @@ def verify_svrtan(
             total += -d if bits.bit_count() & 1 else d
         return total
 
-    ranges = partition_ranges(terms, threads)
-    if len(ranges) == 1:
-        total = range_sum(0, terms)
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            total = sum(pool.map(lambda r: range_sum(r[0], r[1]), ranges))
-    lhs = Fraction(total, divisor)
+    lhs = Fraction(_fan_out(range_sum, terms, threads), divisor)
     rhs = Fraction(factorial(inst.n))
     for d in inst.edge_dets:
         rhs *= d

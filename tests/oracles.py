@@ -123,6 +123,21 @@ def first_row_latin_count(n, completions):
     return total
 
 
+def fraction_transversal_table(matrices):
+    """Every assembled transversal determinant, one Fraction determinant each.
+
+    ``matrices`` are n square grids of size n given as row lists.  Entry
+    picks, read in base n with matrix 1 most significant, takes column
+    picks[i] of matrix i as column i of the assembled matrix.
+    """
+    n = len(matrices)
+    cols = [[[row[c] for row in m] for c in range(n)] for m in matrices]
+    return [
+        laplace_det([[cols[i][picks[i]][r] for i in range(n)] for r in range(n)])
+        for picks in product(range(n), repeat=n)
+    ]
+
+
 def leaf_product_colorful_sum(matrices):
     """Left side of the colorful identity, one determinant product per leaf.
 
@@ -133,11 +148,7 @@ def leaf_product_colorful_sum(matrices):
     step per level.
     """
     n = len(matrices)
-    cols = [[[row[c] for row in m] for c in range(n)] for m in matrices]
-    table = [
-        laplace_det([[cols[i][picks[i]][r] for i in range(n)] for r in range(n)])
-        for picks in product(range(n), repeat=n)
-    ]
+    table = fraction_transversal_table(matrices)
     if all(d.denominator == 1 for d in table):
         table = [int(d) for d in table]
     signed = [(p, inversion_sign(p)) for p in all_mappings(n)]

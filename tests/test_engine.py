@@ -1,6 +1,9 @@
 """Alternating sums, the identity-matrix invariant, and the factorization check."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
@@ -13,6 +16,7 @@ from altdet.engine import (
     DenseTensorForm,
     MatrixTuple,
     MultilinearForm,
+    _fan_out,
     alternating_sum,
     invariant_at_identity,
     partition_ranges,
@@ -345,3 +349,22 @@ class TestPartition:
         assert partition_ranges(4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         assert partition_ranges(0, 4) == []
         assert partition_ranges(7, 1) == [(0, 7)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_fan_out_adds_every_range(self, threads):
+        def range_sum(lo, hi):
+            return sum(Fraction(1, k + 1) for k in range(lo, hi))
+
+        assert _fan_out(range_sum, 10, threads) == range_sum(0, 10)
+
+    def test_serial_run_imports_no_pool(self):
+        code = (
+            "import sys; from altdet.cli import main; "
+            "main(['verify-onn', '--n', '2', '--threads', '4']); "
+            "main(['verify-general', '--shape', '2,2', '--threads', '1']); "
+            "sys.exit('concurrent.futures' in sys.modules)"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

@@ -16,6 +16,7 @@ from altdet.onn import (
     ColorfulInstance,
     LatinSquare,
     _signed_completions,
+    _transversal_det_table,
     alon_tarsi_count,
     colorful_form,
     latin_sign,
@@ -29,6 +30,7 @@ from oracles import (
     brute_latin_squares,
     combo_det_rota_search,
     first_row_latin_count,
+    fraction_transversal_table,
     inversion_sign,
     laplace_det,
     leaf_product_colorful_sum,
@@ -339,6 +341,41 @@ class TestFastRoutesMatchLiteral:
 
     def test_verify_onn_rational_order_4(self):
         self.check_onn(drawn_colorful(4, random.Random(404), rational=True), threads=2)
+
+    # rational n = 4 is the fixed case above: its literal sum takes about 5 s
+    @pytest.mark.parametrize(
+        "n,kind",
+        [(n, kind) for n in (1, 2, 3) for kind in ("integer", "rational", "permutation", "zero column")]
+        + [(4, "integer"), (4, "permutation"), (4, "zero column")],
+    )
+    def test_verify_onn_lhs_at_each_order(self, n, kind):
+        rng = random.Random(410 + n)
+        if kind == "permutation":
+            mats = permutation_matrices(n, rng)
+        elif kind == "zero column":
+            mats = drawn_colorful(n, rng, zero_column=True)
+        else:
+            mats = drawn_colorful(n, rng, rational=kind == "rational")
+            while not all(laplace_det(rows) for rows in mats):
+                mats = drawn_colorful(n, rng, rational=kind == "rational")
+        self.check_onn(mats, threads=1)
+
+    def test_odd_order_cancels_on_nonsingular_rational_input(self):
+        # the literal sum reaches 0 by cancelling nonzero terms, not by a shortcut
+        rng = random.Random(303)
+        mats = drawn_colorful(3, rng, rational=True)
+        while not all(laplace_det(rows) for rows in mats) or combo_det_rota_search(mats) is None:
+            mats = drawn_colorful(3, rng, rational=True)
+        assert leaf_product_colorful_sum(mats) == 0
+        self.check_onn(mats, threads=1)
+
+    @settings(max_examples=24, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_integer_table_matches_fraction_dets(self, n, seed, rational, zero_column):
+        mats = drawn_colorful(n, random.Random(seed), rational, zero_column)
+        table, scale = _transversal_det_table(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats))
+        assert all(type(t) is int for t in table)
+        assert [Fraction(t, scale) for t in table] == fraction_transversal_table(mats)
 
     @staticmethod
     def check_onn(mats, threads):
