@@ -2,10 +2,11 @@
 
 Every subcommand prints one report to standard output, in a plain text
 layout or as a single JSON document, and nothing else there.  Timing goes
-to standard error, so reports are byte-identical for a fixed seed whatever
-the thread count.  Exit codes: 0 when the checked identity holds or a
-search finds a witness, 1 when a check fails or a search exhausts, 2 for
-bad inputs, 3 for exhausted budgets, 4 when an internal self-check fails.
+to standard error, so reports are byte-identical for a fixed seed.
+``--threads`` is accepted and validated, and every command runs serially.
+Exit codes: 0 when the checked identity holds or a search finds a
+witness, 1 when a check fails or a search exhausts, 2 for bad inputs, 3
+for exhausted budgets, 4 when an internal self-check fails.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -39,6 +40,8 @@ from .instances import (
 )
 from .onn import (
     DEFAULT_NODE_BUDGET,
+    LATIN_SQUARE_COUNTS,
+    MAX_FULL_ORDER,
     ColorfulInstance,
     alon_tarsi_count,
     colorful_form,
@@ -50,7 +53,6 @@ from .svrtan import (
     SpinorInstance,
     as_engine_instance,
     choice_det,
-    edge_pairs,
     nonzero_term_census,
     svrtan_search,
     verify_svrtan,
@@ -68,7 +70,6 @@ class RunConfig:
     shape: Shape | None = None
     input_path: str | None = None
     seed: int = 0
-    threads: int = 1
     term_budget: int = DEFAULT_TERM_BUDGET
     node_budget: int = DEFAULT_NODE_BUDGET
     format: str = "text"
@@ -85,12 +86,15 @@ class Report:
     digest: str
     lhs: Fraction
     rhs: Fraction
-    verdict: bool
     seed: int | None = None
     term_count: int | None = None
     witness: dict | None = None
     notes: tuple[str, ...] = ()
     elapsed: float | None = None
+
+    @property
+    def verdict(self) -> bool:
+        return self.lhs == self.rhs
 
     def to_doc(self) -> dict:
         doc: dict = {"command": self.command, "digest": self.digest}
@@ -135,30 +139,59 @@ def _witness_text(witness: dict) -> list[str]:
     return [f"witness: {json.dumps(witness)}"]
 
 
-def _selection_witness(sel) -> dict:
-    return {
-        "kind": "selection",
-        "maps": [[v + 1 for v in part.mapping] for part in sel.sigma.parts],
-    }
-
-
-def _choice_witness(c, n: int) -> dict:
-    return {
-        "kind": "choice",
-        "bits": c.bits,
-        "picks": ["p2" if c.bit(idx) else "p1" for idx in range(len(edge_pairs(n)))],
-    }
-
-
 def _need(cfg: RunConfig, what: str):
     raise InputError(f"{cfg.command}: {what}")
 
 
 def _load_typed(cfg: RunConfig, expected: type, kind_name: str):
     inst = load_instance(cfg.input_path)
-    if not isinstance(inst, expected):
+    # exact type: a colorful instance is a MatrixTuple but not a matrix-tuple file
+    if type(inst) is not expected:
         raise InputError(f"{cfg.input_path}: expected a {kind_name} instance")
     return inst
+
+
+def _sum_report(
+    cfg: RunConfig,
+    digest: str,
+    lhs: Fraction,
+    rhs: Fraction,
+    notes: list[str],
+    *,
+    seed: int | None = None,
+    term_count: int | None = None,
+) -> tuple[Report, int]:
+    """The report of a two-sided check; it exits 0 when the sides agree."""
+    report = Report(cfg.command, digest, lhs, rhs, seed=seed, term_count=term_count, notes=tuple(notes))
+    return report, 0 if report.verdict else 1
+
+
+def _search_report(
+    cfg: RunConfig,
+    inst: ColorfulInstance | SpinorInstance,
+    seed: int | None,
+    witness: dict | None,
+    guaranteed: bool,
+    notes: list[str],
+) -> tuple[Report, int]:
+    """The report of a search: found (lhs 1) against guaranteed (rhs 1).
+
+    It exits 0 when a witness was found and 1 when the search exhausted.
+    """
+    found = witness is not None
+    if not found:
+        bug = "exhausted despite a guarantee: this indicates a bug"
+        notes = notes + [bug if guaranteed else "search exhausted"]
+    report = Report(
+        cfg.command,
+        doc_digest(instance_to_doc(inst)),
+        lhs=Fraction(found),
+        rhs=Fraction(found or guaranteed),
+        seed=seed,
+        witness=witness,
+        notes=tuple(notes),
+    )
+    return report, 0 if found else 1
 
 
 def cmd_verify_general(cfg: RunConfig) -> tuple[Report, int]:
@@ -172,97 +205,56 @@ def cmd_verify_general(cfg: RunConfig) -> tuple[Report, int]:
         A = random_matrix_tuple(cfg.shape, rng)
     else:
         _need(cfg, "give --input or --shape")
-    rep = verify_identity(f, A, threads=cfg.threads, term_budget=cfg.term_budget)
+    rep = verify_identity(f, A, term_budget=cfg.term_budget)
     digest = doc_digest({"instance": instance_to_doc(A), "form": [format_rational(c) for c in f.coeffs]})
-    report = Report(
-        command=cfg.command,
-        digest=digest,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        verdict=rep.verdict,
-        seed=cfg.seed,
-        term_count=rep.term_count,
-        notes=(f"invariant = {format_rational(rep.invariant)}",),
-    )
-    return report, 0 if rep.verdict else 1
+    notes = [f"invariant = {format_rational(rep.invariant)}"]
+    return _sum_report(cfg, digest, rep.lhs, rep.rhs, notes, seed=cfg.seed, term_count=rep.term_count)
 
 
 def cmd_invariant(cfg: RunConfig) -> tuple[Report, int]:
-    notes: list[str] = []
     seed: int | None = None
     if cfg.family == "dense":
         if cfg.shape is None:
             _need(cfg, "family dense needs --shape")
-        rng = SplitMix64(cfg.seed)
-        f = random_dense_form(cfg.shape, rng)
+        f = random_dense_form(cfg.shape, SplitMix64(cfg.seed))
         seed = cfg.seed
-        lhs = invariant_at_identity(f, threads=cfg.threads, term_budget=cfg.term_budget)
-        rhs = lhs
-        notes.append("dense forms have no independent route; value reported as both sides")
+        lhs = rhs = invariant_at_identity(f, term_budget=cfg.term_budget)
+        note = "dense forms have no independent route; value reported as both sides"
         inputs = {"family": "dense", "shape": list(cfg.shape.sizes), "seed": cfg.seed}
         terms = cfg.shape.term_count
     elif cfg.family == "colorful":
         if cfg.n is None:
             _need(cfg, "family colorful needs --n")
-        lhs = invariant_at_identity(
-            colorful_form(cfg.n), threads=cfg.threads, term_budget=cfg.term_budget
-        )
-        rhs = Fraction(
-            alon_tarsi_count(cfg.n, threads=cfg.threads, term_budget=cfg.term_budget)
-        )
-        notes.append("independent route: signed Latin-square enumeration")
+        lhs = invariant_at_identity(colorful_form(cfg.n), term_budget=cfg.term_budget)
+        rhs = Fraction(alon_tarsi_count(cfg.n, term_budget=cfg.term_budget))
+        note = "independent route: signed Latin-square enumeration"
         inputs = {"family": "colorful", "n": cfg.n}
         terms = factorial(cfg.n) ** cfg.n
     elif cfg.family == "spinor":
         if cfg.n is None:
             _need(cfg, "family spinor needs --n")
         form, _ = as_engine_instance(SpinorInstance.identity(cfg.n))
-        lhs = invariant_at_identity(form, threads=cfg.threads, term_budget=cfg.term_budget)
+        lhs = invariant_at_identity(form, term_budget=cfg.term_budget)
         rhs = Fraction(factorial(cfg.n))
-        notes.append("independent route: n factorial")
+        note = "independent route: n factorial"
         inputs = {"family": "spinor", "n": cfg.n}
         terms = 1 << (cfg.n * (cfg.n - 1) // 2)
     else:
         _need(cfg, "give --family dense, colorful or spinor")
-    verdict = lhs == rhs
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest(inputs),
-        lhs=lhs,
-        rhs=rhs,
-        verdict=verdict,
-        seed=seed,
-        term_count=terms,
-        notes=tuple(notes),
-    )
-    return report, 0 if verdict else 1
+    return _sum_report(cfg, doc_digest(inputs), lhs, rhs, [note], seed=seed, term_count=terms)
 
 
 def cmd_alon_tarsi(cfg: RunConfig) -> tuple[Report, int]:
     if cfg.n is None:
         _need(cfg, "give --n")
-    count = alon_tarsi_count(cfg.n, threads=cfg.threads, term_budget=cfg.term_budget)
-    lhs = Fraction(count)
-    notes: list[str] = []
+    lhs = Fraction(alon_tarsi_count(cfg.n, term_budget=cfg.term_budget))
     if cfg.cross_check:
-        rhs = invariant_at_identity(
-            colorful_form(cfg.n), threads=cfg.threads, term_budget=cfg.term_budget
-        )
-        notes.append("cross-checked against the colorful-form invariant")
+        rhs = invariant_at_identity(colorful_form(cfg.n), term_budget=cfg.term_budget)
+        note = "cross-checked against the colorful-form invariant"
     else:
         rhs = lhs
-        notes.append("single route (reduced-square count); pass --cross-check to compare")
-    verdict = lhs == rhs
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest({"n": cfg.n}),
-        lhs=lhs,
-        rhs=rhs,
-        verdict=verdict,
-        term_count=None,
-        notes=tuple(notes),
-    )
-    return report, 0 if verdict else 1
+        note = "single route (reduced-square count); pass --cross-check to compare"
+    return _sum_report(cfg, doc_digest({"n": cfg.n}), lhs, rhs, [note])
 
 
 def _colorful_input(cfg: RunConfig) -> tuple[ColorfulInstance, int | None]:
@@ -283,21 +275,12 @@ def _spinor_input(cfg: RunConfig) -> tuple[SpinorInstance, int | None]:
 
 def cmd_verify_onn(cfg: RunConfig) -> tuple[Report, int]:
     inst, seed = _colorful_input(cfg)
-    rep = verify_onn(inst, threads=cfg.threads, term_budget=cfg.term_budget)
+    rep = verify_onn(inst, term_budget=cfg.term_budget)
     notes = [f"signed Latin count l({inst.n}) = {rep.latin_count}"]
     if not inst.is_nonsingular:
         notes.append("input is singular: right-hand side vanishes")
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest(instance_to_doc(inst)),
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        verdict=rep.verdict,
-        seed=seed,
-        term_count=rep.term_count,
-        notes=tuple(notes),
-    )
-    return report, 0 if rep.verdict else 1
+    digest = doc_digest(instance_to_doc(inst))
+    return _sum_report(cfg, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
 
 
 def cmd_rota_search(cfg: RunConfig) -> tuple[Report, int]:
@@ -307,8 +290,9 @@ def cmd_rota_search(cfg: RunConfig) -> tuple[Report, int]:
     guaranteed = False
     if not inst.is_nonsingular:
         notes.append("input is singular: a full selection is not guaranteed")
-    elif inst.n <= 5:
-        count = alon_tarsi_count(inst.n)
+    elif inst.n <= MAX_FULL_ORDER:
+        # the budget admits exactly the L(n) squares the count stands for
+        count = alon_tarsi_count(inst.n, term_budget=LATIN_SQUARE_COUNTS[inst.n - 1])
         if count != 0:
             guaranteed = True
             notes.append(f"nonsingular input and l({inst.n}) = {count} != 0: success guaranteed")
@@ -320,100 +304,48 @@ def cmd_rota_search(cfg: RunConfig) -> tuple[Report, int]:
     if sel is not None:
         if not sel.is_valid_for(inst):
             raise SelfCheckError("search returned a selection with a zero transversal")
-        witness = _selection_witness(sel)
-        lhs = Fraction(1)
-    else:
-        lhs = Fraction(0)
-        if guaranteed:
-            notes.append("exhausted despite a guarantee: this indicates a bug")
-        else:
-            notes.append("search exhausted")
-    rhs = Fraction(1) if (sel is not None or guaranteed) else Fraction(0)
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest(instance_to_doc(inst)),
-        lhs=lhs,
-        rhs=rhs,
-        verdict=lhs == rhs,
-        seed=seed,
-        witness=witness,
-        notes=tuple(notes),
-    )
-    return report, 0 if sel is not None else 1
+        maps = [[v + 1 for v in part.mapping] for part in sel.sigma.parts]
+        witness = {"kind": "selection", "maps": maps}
+    return _search_report(cfg, inst, seed, witness, guaranteed, notes)
 
 
 def cmd_verify_svrtan(cfg: RunConfig) -> tuple[Report, int]:
     inst, seed = _spinor_input(cfg)
-    rep = verify_svrtan(inst, threads=cfg.threads, term_budget=cfg.term_budget)
-    notes = []
-    if not inst.is_nonsingular:
-        notes.append("input has a singular edge basis: right-hand side vanishes")
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest(instance_to_doc(inst)),
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        verdict=rep.verdict,
-        seed=seed,
-        term_count=rep.term_count,
-        notes=tuple(notes),
-    )
-    return report, 0 if rep.verdict else 1
+    rep = verify_svrtan(inst, term_budget=cfg.term_budget)
+    notes = [] if inst.is_nonsingular else ["input has a singular edge basis: right-hand side vanishes"]
+    digest = doc_digest(instance_to_doc(inst))
+    return _sum_report(cfg, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
 
 
 def cmd_svrtan_search(cfg: RunConfig) -> tuple[Report, int]:
     inst, seed = _spinor_input(cfg)
     c = svrtan_search(inst, incremental=cfg.incremental, term_budget=cfg.term_budget)
-    notes: list[str] = []
     guaranteed = inst.is_nonsingular
     if guaranteed:
-        notes.append("all edge determinants nonzero: a nonzero assignment is guaranteed")
+        notes = ["all edge determinants nonzero: a nonzero assignment is guaranteed"]
     else:
-        notes.append("input has a singular edge basis: no guarantee")
+        notes = ["input has a singular edge basis: no guarantee"]
     witness = None
     if c is not None:
         if choice_det(inst, c) == 0:
             raise SelfCheckError("search returned a choice with zero determinant")
-        witness = _choice_witness(c, inst.n)
-        lhs = Fraction(1)
-    else:
-        lhs = Fraction(0)
-        notes.append(
-            "exhausted despite a guarantee: this indicates a bug"
-            if guaranteed
-            else "search exhausted"
-        )
-    rhs = Fraction(1) if (c is not None or guaranteed) else Fraction(0)
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest(instance_to_doc(inst)),
-        lhs=lhs,
-        rhs=rhs,
-        verdict=lhs == rhs,
-        seed=seed,
-        witness=witness,
-        notes=tuple(notes),
-    )
-    return report, 0 if c is not None else 1
+        picks = ["p2" if c.bit(idx) else "p1" for idx in range(c.edge_count)]
+        witness = {"kind": "choice", "bits": c.bits, "picks": picks}
+    return _search_report(cfg, inst, seed, witness, guaranteed, notes)
 
 
 def cmd_census(cfg: RunConfig) -> tuple[Report, int]:
     if cfg.n is None:
         _need(cfg, "give --n")
     count = nonzero_term_census(cfg.n, term_budget=cfg.term_budget)
-    lhs = Fraction(count)
-    rhs = Fraction(factorial(cfg.n))
-    verdict = lhs == rhs
-    report = Report(
-        command=cfg.command,
-        digest=doc_digest({"n": cfg.n}),
-        lhs=lhs,
-        rhs=rhs,
-        verdict=verdict,
+    return _sum_report(
+        cfg,
+        doc_digest({"n": cfg.n}),
+        Fraction(count),
+        Fraction(factorial(cfg.n)),
+        ["every surviving choice passed the transitive-tournament degree test"],
         term_count=1 << (cfg.n * (cfg.n - 1) // 2),
-        notes=("every surviving choice passed the transitive-tournament degree test",),
     )
-    return report, 0 if verdict else 1
 
 
 _HANDLERS = {
@@ -465,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_positive, default=_default_threads(),
-                        help="worker threads for the term loops of verify-general, invariant, "
-                        "verify-svrtan and alon-tarsi --cross-check; verify-onn and the alon-tarsi "
-                        "count run serially whatever it says (default: ALTDET_THREADS or 1)")
+                        help="accepted for compatibility; every command runs serially whatever "
+                        "it says (default: ALTDET_THREADS or 1)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report layout on stdout")
     common.add_argument("--term-budget", type=_positive, default=DEFAULT_TERM_BUDGET,
@@ -529,7 +460,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         shape=getattr(args, "shape", None),
         input_path=getattr(args, "input", None),
         seed=getattr(args, "seed", 0),
-        threads=args.threads,
         term_budget=args.term_budget,
         node_budget=getattr(args, "node_budget", DEFAULT_NODE_BUDGET),
         format=args.format,

@@ -7,7 +7,7 @@ so each term is computed literally: the sum walks the raw
 (parity, mappings) of the group and hands the form, by index, the columns
 of A it reads, taken from column lists built once per call.  No permuted
 matrix is built; signed values are summed as they come (plain ints for
-integer inputs) and one Fraction is made per range.
+integer inputs) and one Fraction is made per sum.
 
 Forms read columns: `MultilinearForm.evaluate_columns` is the one
 evaluation body of every form.  A plain form wraps a function of a
@@ -22,9 +22,10 @@ At the identity a term is the form's value on permuted unit columns; a
 dense form reads it as the one coefficient whose slot digits are the
 mappings, with no contraction.
 
-Enumeration is splittable by rank range, so the sum can be partitioned
-across workers deterministically; partial sums are exact rationals and the
-combined result is independent of the partition.
+`SumReport` holds both sides of the factorization; the colorful and spinor
+checks fill the same report with their own invariants, l(n) and n!.  Every
+sum runs serially in one thread: ``threads=`` is accepted by every sum for
+a uniform signature and ignored.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
@@ -90,8 +92,6 @@ class MultilinearForm:
     ``evaluator``, a function of a `MatrixTuple`; its `evaluate_columns`
     builds the matrices for every evaluation.  Subclasses override
     `evaluate_columns` instead and pass no evaluator.
-
-    Evaluation must be pure: workers may evaluate one form concurrently.
     """
 
     def __init__(
@@ -187,43 +187,16 @@ class DenseTensorForm(MultilinearForm):
         return term
 
 
-def partition_ranges(length: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, length) into at most ``parts`` contiguous balanced ranges."""
-    parts = max(1, min(parts, length)) if length > 0 else 1
-    bounds = [length * i // parts for i in range(parts + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
-def _fan_out(range_sum: Callable[[int, int], Scalar], length: int, threads: int) -> Scalar:
-    """range_sum(0, length), split over up to ``threads`` workers.
-
-    The partials of the contiguous balanced ranges are added in range
-    order, so the total does not depend on the split.  The thread pool is
-    imported only when one is started.
-    """
-    ranges = partition_ranges(length, threads)
-    if len(ranges) == 1:
-        return range_sum(0, length)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return sum(pool.map(lambda r: range_sum(*r), ranges))
-
-
-def _range_sum(term: Term, shape: Shape, start: int, stop: int) -> Fraction:
+def _signed_sum(term: Term, shape: Shape, term_budget: int) -> Fraction:
+    terms = shape.term_count
+    if terms > term_budget:
+        raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
     total: Scalar = 0
-    for parity, maps in _walk_product(shape, start, stop):
+    for parity, maps in _walk_product(shape):
         value = term(maps)
         if value:
             total += value if parity > 0 else -value
     return Fraction(total)
-
-
-def _signed_sum(term: Term, shape: Shape, threads: int, term_budget: int) -> Fraction:
-    terms = shape.term_count
-    if terms > term_budget:
-        raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
-    return _fan_out(lambda lo, hi: _range_sum(term, shape, lo, hi), terms, threads)
 
 
 def alternating_sum(
@@ -236,7 +209,7 @@ def alternating_sum(
     """Exact value of the signed sum of f over all column permutations of A."""
     if f.shape != A.shape:
         raise DimensionError(f"form shape {f.shape.sizes} != tuple shape {A.shape.sizes}")
-    return _signed_sum(f.column_term(A), A.shape, threads, term_budget)
+    return _signed_sum(f.column_term(A), A.shape, term_budget)
 
 
 def invariant_at_identity(
@@ -247,22 +220,35 @@ def invariant_at_identity(
     Evaluating the sum at the all-identity tuple isolates it, since every
     determinant is then 1.
     """
-    return _signed_sum(f.identity_term(), f.shape, threads, term_budget)
+    return _signed_sum(f.identity_term(), f.shape, term_budget)
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of the factorization, with the pieces they came from."""
+class SumReport:
+    """Both sides of alternating sum = invariant * product of determinants."""
 
     lhs: Fraction
     rhs: Fraction
-    invariant: Fraction
+    invariant: Scalar
     determinants: tuple[Fraction, ...]
     term_count: int
+
+    @classmethod
+    def of(
+        cls, lhs: Fraction, invariant: Scalar, determinants: tuple[Fraction, ...], term_count: int
+    ) -> "SumReport":
+        """The report whose right side is the invariant times the determinants."""
+        rhs = prod(determinants, start=Fraction(invariant))
+        return cls(lhs, rhs, invariant, determinants, term_count)
 
     @property
     def verdict(self) -> bool:
         return self.lhs == self.rhs
+
+    @property
+    def latin_count(self) -> Scalar:
+        """The invariant under its colorful name, the signed Latin count l(n)."""
+        return self.invariant
 
 
 def verify_identity(
@@ -271,17 +257,8 @@ def verify_identity(
     *,
     threads: int = 1,
     term_budget: int = DEFAULT_TERM_BUDGET,
-) -> IdentityReport:
+) -> SumReport:
     """Check alternating sum = invariant * product of determinants, exactly."""
-    lhs = alternating_sum(f, A, threads=threads, term_budget=term_budget)
-    inv = invariant_at_identity(f, threads=threads, term_budget=term_budget)
-    rhs = inv
-    for d in A.determinants:
-        rhs *= d
-    return IdentityReport(
-        lhs=lhs,
-        rhs=rhs,
-        invariant=inv,
-        determinants=A.determinants,
-        term_count=A.shape.term_count,
-    )
+    lhs = alternating_sum(f, A, term_budget=term_budget)
+    inv = invariant_at_identity(f, term_budget=term_budget)
+    return SumReport.of(lhs, inv, A.determinants, A.shape.term_count)

@@ -83,7 +83,7 @@ def random_matrix_tuple(shape: Shape, rng: SplitMix64, *, nonsingular: bool = Tr
 
 def random_colorful_instance(n: int, rng: SplitMix64) -> ColorfulInstance:
     """n nonsingular integer matrices of size n, each resampled independently."""
-    return ColorfulInstance(n, tuple(_nonsingular_matrix(rng, n) for _ in range(n)))
+    return ColorfulInstance.of(_nonsingular_matrix(rng, n) for _ in range(n))
 
 
 def random_spinor_instance(n: int, rng: SplitMix64) -> SpinorInstance:
@@ -113,18 +113,19 @@ def _matrix_doc(m: Matrix) -> list[list[str]]:
     return [[format_rational(x) for x in row] for row in m.entries]
 
 
-def instance_to_doc(inst: MatrixTuple | ColorfulInstance | SpinorInstance) -> dict:
+def instance_to_doc(inst: MatrixTuple | SpinorInstance) -> dict:
     """The JSON document (as plain dicts and lists) for any instance kind."""
-    if isinstance(inst, MatrixTuple):
-        return {
-            "kind": "matrix-tuple",
-            "shape": list(inst.shape.sizes),
-            "matrices": [_matrix_doc(m) for m in inst.matrices],
-        }
+    # a ColorfulInstance is a MatrixTuple too, so it is tested first
     if isinstance(inst, ColorfulInstance):
         return {
             "kind": "colorful",
             "n": inst.n,
+            "matrices": [_matrix_doc(m) for m in inst.matrices],
+        }
+    if isinstance(inst, MatrixTuple):
+        return {
+            "kind": "matrix-tuple",
+            "shape": list(inst.shape.sizes),
             "matrices": [_matrix_doc(m) for m in inst.matrices],
         }
     if isinstance(inst, SpinorInstance):
@@ -196,42 +197,35 @@ def _poly2_at(value, where: str) -> Polynomial:
     return Polynomial((_rational_at(value[0], f"{where}[0]"), _rational_at(value[1], f"{where}[1]")))
 
 
-def parse_instance_doc(doc) -> MatrixTuple | ColorfulInstance | SpinorInstance:
+def parse_instance_doc(doc) -> MatrixTuple | SpinorInstance:
     """Validate a parsed JSON document and build the instance it describes."""
     if not isinstance(doc, dict):
         raise InputError(f"top level: expected an object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "matrix-tuple":
-        _require_keys(doc, {"kind", "shape", "matrices"}, "top level")
-        sizes = doc["shape"]
-        if not isinstance(sizes, list) or not sizes:
-            raise InputError("shape: expected a nonempty list of sizes")
-        shape = Shape(tuple(_count_at(s, f"shape[{i}]") for i, s in enumerate(sizes)))
+    if kind in ("matrix-tuple", "colorful"):
+        colorful = kind == "colorful"
+        _require_keys(doc, {"kind", "n" if colorful else "shape", "matrices"}, "top level")
+        if colorful:
+            n = _count_at(doc["n"], "n")
+            count, expected = n, f"{n} matrices"
+        else:
+            sizes = doc["shape"]
+            if not isinstance(sizes, list) or not sizes:
+                raise InputError("shape: expected a nonempty list of sizes")
+            shape = Shape(tuple(_count_at(s, f"shape[{i}]") for i, s in enumerate(sizes)))
+            count, expected = shape.k, f"{shape.k} matrices for this shape"
         mats = doc["matrices"]
-        if not isinstance(mats, list) or len(mats) != shape.k:
-            raise InputError(f"matrices: expected {shape.k} matrices for this shape")
+        if not isinstance(mats, list) or len(mats) != count:
+            raise InputError(f"matrices: expected {expected}")
+        if colorful:
+            shape = Shape((n,) * n)
         parsed = []
-        for i, rows in enumerate(mats):
+        for i, (rows, size) in enumerate(zip(mats, shape.sizes)):
             m = _matrix_at(rows, f"matrices[{i}]")
-            if m.rows != shape.sizes[i] or m.cols != shape.sizes[i]:
-                raise InputError(
-                    f"matrices[{i}]: expected {shape.sizes[i]}x{shape.sizes[i]}, got {m.rows}x{m.cols}"
-                )
+            if m.rows != size or m.cols != size:
+                raise InputError(f"matrices[{i}]: expected {size}x{size}, got {m.rows}x{m.cols}")
             parsed.append(m)
-        return MatrixTuple(shape, tuple(parsed))
-    if kind == "colorful":
-        _require_keys(doc, {"kind", "n", "matrices"}, "top level")
-        n = _count_at(doc["n"], "n")
-        mats = doc["matrices"]
-        if not isinstance(mats, list) or len(mats) != n:
-            raise InputError(f"matrices: expected {n} matrices")
-        parsed = []
-        for i, rows in enumerate(mats):
-            m = _matrix_at(rows, f"matrices[{i}]")
-            if m.rows != n or m.cols != n:
-                raise InputError(f"matrices[{i}]: expected {n}x{n}, got {m.rows}x{m.cols}")
-            parsed.append(m)
-        return ColorfulInstance(n, tuple(parsed))
+        return (ColorfulInstance if colorful else MatrixTuple)(shape, tuple(parsed))
     if kind == "spinor":
         _require_keys(doc, {"kind", "n", "edges"}, "top level")
         n = _count_at(doc["n"], "n")
@@ -259,7 +253,7 @@ def parse_instance_doc(doc) -> MatrixTuple | ColorfulInstance | SpinorInstance:
     raise InputError(f"kind: expected matrix-tuple, colorful or spinor, got {kind!r}")
 
 
-def load_instance(path: str) -> MatrixTuple | ColorfulInstance | SpinorInstance:
+def load_instance(path: str) -> MatrixTuple | SpinorInstance:
     """Read and validate an instance file; "-" reads standard input."""
     import sys
 

@@ -37,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial
 from typing import Iterable, Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm
+from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
 from .errors import BudgetError, DimensionError, InputError
 from .exact import Matrix, _int_det, det, int_scaled
 from .perms import Shape, SignedPerm, SignedPermTuple, _pool
@@ -173,7 +173,7 @@ def alon_tarsi_count(
     reduced squares, taken by the masked DFS over rows 1..n-1 with column 0
     pinned.  The count stands for L(n) squares, the number of order-n Latin
     squares; more than ``term_budget`` raises before any work starts.
-    ``threads`` is accepted for a uniform signature and unused.
+    ``threads`` is accepted and ignored, as by every sum.
     """
     if n < 1:
         raise DimensionError("Latin squares need order >= 1")
@@ -189,37 +189,20 @@ def alon_tarsi_count(
     return factorial(n) * factorial(n - 1) * reduced
 
 
-@dataclass(frozen=True)
-class ColorfulInstance:
+class ColorfulInstance(MatrixTuple):
     """n square matrices of size n, the inputs of the colorful identity."""
 
-    n: int
-    matrices: tuple[Matrix, ...]
-
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("colorful instances need n >= 1")
-        if len(self.matrices) != self.n:
-            raise DimensionError(f"expected {self.n} matrices, got {len(self.matrices)}")
-        for m in self.matrices:
-            if m.rows != self.n or m.cols != self.n:
-                raise DimensionError(f"expected {self.n}x{self.n} matrices, got {m.rows}x{m.cols}")
+        super().__post_init__()
+        if any(size != self.n for size in self.shape.sizes):
+            raise DimensionError(f"colorful instances need n matrices of size n, got {self.shape.sizes}")
 
-    @classmethod
-    def of(cls, matrices: Iterable[Matrix]) -> "ColorfulInstance":
-        ms = tuple(matrices)
-        return cls(len(ms), ms)
+    @property
+    def n(self) -> int:
+        return self.shape.k
 
     def as_matrix_tuple(self) -> MatrixTuple:
-        return MatrixTuple(Shape.of(*([self.n] * self.n)), self.matrices)
-
-    @property
-    def determinants(self) -> tuple[Fraction, ...]:
-        return tuple(det(m) for m in self.matrices)
-
-    @property
-    def is_nonsingular(self) -> bool:
-        return all(d != 0 for d in self.determinants)
+        return MatrixTuple(self.shape, self.matrices)
 
 
 class _ColorfulForm(MultilinearForm):
@@ -250,21 +233,6 @@ def colorful_form(n: int) -> MultilinearForm:
     if n < 1:
         raise DimensionError("colorful forms need n >= 1")
     return _ColorfulForm(n)
-
-
-@dataclass(frozen=True)
-class OnnReport:
-    """Both sides of the colorful identity with the pieces they came from."""
-
-    lhs: Fraction
-    rhs: Fraction
-    latin_count: int
-    determinants: tuple[Fraction, ...]
-    term_count: int
-
-    @property
-    def verdict(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def _transversal_det_table(inst: ColorfulInstance) -> tuple[list[int], int]:
@@ -324,7 +292,7 @@ def verify_onn(
     threads: int = 1,
     term_budget: int = DEFAULT_TERM_BUDGET,
     latin_count: int | None = None,
-) -> OnnReport:
+) -> SumReport:
     """Check the colorful identity on one instance, exactly.
 
     The left side sums (n!)**n signed products of transversal determinants,
@@ -332,8 +300,7 @@ def verify_onn(
     n >= 3 and otherwise n! times the part with sigma_1 the identity,
     (n!)**(n-2) integer determinants.  The right side is l(n) times the
     product of the matrix determinants.  Pass ``latin_count`` to reuse a
-    precomputed l(n).  ``threads`` is accepted for a uniform signature and
-    unused.
+    precomputed l(n).  ``threads`` is accepted and ignored, as by every sum.
     """
     n = inst.n
     terms = factorial(n) ** n
@@ -345,16 +312,8 @@ def verify_onn(
         table, scale = _transversal_det_table(inst)
         lhs = Fraction(factorial(n) * _onn_partial(n, table), scale**n)
     if latin_count is None:
-        latin_count = alon_tarsi_count(n, threads=threads, term_budget=term_budget)
-    dets = inst.determinants
-    rhs = prod(dets, start=Fraction(latin_count))
-    return OnnReport(
-        lhs=lhs,
-        rhs=rhs,
-        latin_count=latin_count,
-        determinants=dets,
-        term_count=terms,
-    )
+        latin_count = alon_tarsi_count(n, term_budget=term_budget)
+    return SumReport.of(lhs, latin_count, inst.determinants, terms)
 
 
 @dataclass(frozen=True)

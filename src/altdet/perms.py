@@ -4,9 +4,8 @@ Permutations are stored as 0-based mapping tuples with the sign carried
 alongside, so consumers never recount inversions.  Enumeration follows the
 plain-changes order (Steinhaus-Johnson-Trotter): successive permutations
 differ by one adjacent transposition, so the sign alternates and equals
-(-1)**rank.  Ranks live in the factorial number system, which makes every
-stream restartable at an arbitrary rank; parallel drivers split the full
-range into contiguous blocks and enumerate each block independently.
+(-1)**rank.  Ranks live in the factorial number system: `unrank` and `rank`
+convert between a rank and its permutation.
 
 Products of symmetric groups enumerate in mixed-radix order over per-factor
 ranks, rightmost factor fastest.  One private walker yields the raw
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import product
 from math import factorial
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -122,15 +122,6 @@ def _unrank_word(n: int, r: int) -> list[int]:
     return word
 
 
-def _directions(n: int, r: int) -> list[int]:
-    """Per-value travel directions (-1 left, +1 right) at rank r."""
-    dirs = [-1] * n
-    for k in range(n, 1, -1):
-        r, _ = divmod(r, k)
-        dirs[k - 1] = -1 if r % 2 == 0 else 1
-    return dirs
-
-
 def _step(word: list[int], dirs: list[int]) -> bool:
     """Advance one adjacent transposition; False when no element is mobile."""
     n = len(word)
@@ -150,27 +141,17 @@ def _step(word: list[int], dirs: list[int]) -> bool:
     return True
 
 
-def enumerate_signed(n: int, start: int = 0, stop: int | None = None) -> Iterator[SignedPerm]:
-    """Stream the rank range [start, stop) of the plain-changes order."""
+def enumerate_signed(n: int) -> Iterator[SignedPerm]:
+    """Stream Sigma_n in plain-changes order, from the identity."""
     if n < 1:
         raise DimensionError("permutations need at least one point")
-    total = factorial(n)
-    if stop is None:
-        stop = total
-    start = max(start, 0)
-    stop = min(stop, total)
-    if start >= stop:
-        return
-    word = _unrank_word(n, start)
-    dirs = _directions(n, start)
-    sign = -1 if start % 2 else 1
-    r = start
+    word = list(range(n))
+    dirs = [-1] * n
+    sign = 1
     while True:
         yield SignedPerm(tuple(word), sign)
-        r += 1
-        if r >= stop:
+        if not _step(word, dirs):
             return
-        _step(word, dirs)
         sign = -sign
 
 
@@ -257,54 +238,24 @@ class SignedPermTuple:
         return SignedPermTuple.of(a * b for a, b in zip(self.parts, other.parts))
 
 
-def _walk_product(
-    shape: Shape, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Raw ``(parity, mappings)`` over the rank range [start, stop).
+def _walk_product(shape: Shape) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Raw ``(parity, mappings)`` of every element of the product group.
 
     The one mixed-radix walk of the product group: per-factor plain-changes
     ranks, rightmost factor fastest.
     """
-    total = shape.term_count
-    stop = total if stop is None else min(stop, total)
-    start = max(start, 0)
-    pools = [_pool(s) for s in shape.sizes]
-    radices = [len(p) for p in pools]
-    digits = []
-    r = start
-    for radix in reversed(radices):
-        r, d = divmod(r, radix)
-        digits.append(d)
-    digits.reverse()
-    last = len(pools) - 1
-    for _ in range(stop - start):
+    pools = [[(p.parity, p.mapping) for p in _pool(s)] for s in shape.sizes]
+    for picks in product(*pools):
         parity = 1
-        maps = []
-        for pool, d in zip(pools, digits):
-            p = pool[d]
-            parity *= p.parity
-            maps.append(p.mapping)
-        yield parity, tuple(maps)
-        i = last
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < radices[i]:
-                break
-            digits[i] = 0
-            i -= 1
+        for sign, _ in picks:
+            parity *= sign
+        yield parity, tuple(m for _, m in picks)
 
 
-def enumerate_product(
-    shape: Shape, start: int = 0, stop: int | None = None
-) -> Iterator[SignedPermTuple]:
-    """Stream the rank range [start, stop) of the product group.
-
-    Global ranks decompose mixed-radix over per-factor plain-changes ranks
-    with the rightmost factor fastest, so contiguous global ranges are
-    cheap to hand to parallel workers.
-    """
+def enumerate_product(shape: Shape) -> Iterator[SignedPermTuple]:
+    """Stream the product group in mixed-radix order, rightmost factor fastest."""
     by_mapping = [{p.mapping: p for p in _pool(s)} for s in shape.sizes]
-    for parity, maps in _walk_product(shape, start, stop):
+    for parity, maps in _walk_product(shape):
         yield SignedPermTuple(tuple(look[m] for look, m in zip(by_mapping, maps)), parity)
 
 

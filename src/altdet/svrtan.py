@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, _fan_out
+from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
 from .errors import BudgetError, DimensionError, SelfCheckError
 from .exact import Matrix, Polynomial, det, det_int_rows, int_scaled, poly_det, poly_mul
 from .perms import Shape
@@ -141,32 +141,14 @@ class Choice:
         return Choice(self.bits ^ (1 << idx), self.edge_count)
 
 
-def enumerate_choices(edge_count: int, start: int = 0, stop: int | None = None) -> Iterator[Choice]:
+def enumerate_choices(edge_count: int) -> Iterator[Choice]:
     """Choices in reflected-binary order: consecutive ones differ in one bit."""
-    total = 1 << edge_count
-    if stop is None:
-        stop = total
-    start = max(start, 0)
-    stop = min(stop, total)
-    for t in range(start, stop):
+    for t in range(1 << edge_count):
         yield Choice(t ^ (t >> 1), edge_count)
 
 
-@dataclass(frozen=True)
-class ChoicePolynomials:
-    """The n vertex polynomials a choice induces, each of degree < n."""
-
-    polys: tuple[Polynomial, ...]
-
-    def __iter__(self) -> Iterator[Polynomial]:
-        return iter(self.polys)
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-
-def choice_polys(inst: SpinorInstance, c: Choice) -> ChoicePolynomials:
-    """All n vertex polynomials of a choice, by one pass over the edges."""
+def choice_polys(inst: SpinorInstance, c: Choice) -> tuple[Polynomial, ...]:
+    """The n vertex polynomials of a choice, each of degree < n, in one edge pass."""
     if c.edge_count != inst.edge_count:
         raise DimensionError(f"choice covers {c.edge_count} edges, instance has {inst.edge_count}")
     n = inst.n
@@ -177,12 +159,12 @@ def choice_polys(inst: SpinorInstance, c: Choice) -> ChoicePolynomials:
         to_i, to_j = (p2, p1) if c.bit(idx) else (p1, p2)
         acc[i] = poly_mul(acc[i], to_i, n)
         acc[j] = poly_mul(acc[j], to_j, n)
-    return ChoicePolynomials(tuple(acc))
+    return tuple(acc)
 
 
 def choice_det(inst: SpinorInstance, c: Choice) -> Fraction:
     """det of the coefficient matrix of the choice's vertex polynomials."""
-    return poly_det(choice_polys(inst, c).polys)
+    return poly_det(choice_polys(inst, c))
 
 
 def _point_values(inst: SpinorInstance) -> tuple[list, int]:
@@ -204,11 +186,11 @@ def _point_values(inst: SpinorInstance) -> tuple[list, int]:
     return values, divisor
 
 
-def _point_dets(n: int, values, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """(bits, point-value determinant) for the choices of rank lo..hi-1.
+def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
+    """(bits, point-value determinant) for every choice, in reflected-binary order.
 
-    Ranks run in reflected-binary order from ``lo ^ (lo >> 1)``; each step
-    flips one edge and rebuilds only the value columns of its two ends.
+    Each step flips one edge and rebuilds only the value columns of its two
+    ends.
     """
     pairs = edge_pairs(n)
     incident = [[] for _ in range(n)]  # (edge, values if bit 0, values if bit 1)
@@ -221,10 +203,10 @@ def _point_dets(n: int, values, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         picked = [if1 if bits >> idx & 1 else if0 for idx, if0, if1 in incident[v]]
         return [prod(at_x) for at_x in zip(*picked)] if picked else [1]  # n = 1: no edges
 
-    bits = lo ^ (lo >> 1)
+    bits = 0
     cols = [column(v, bits) for v in range(n)]
-    for t in range(lo, hi):
-        if t > lo:
+    for t in range(1 << len(pairs)):
+        if t:
             idx = (t & -t).bit_length() - 1
             bits ^= 1 << idx
             i, j = pairs[idx]
@@ -252,50 +234,27 @@ def out_degrees(c: Choice, n: int) -> tuple[int, ...]:
     return tuple(degs)
 
 
-@dataclass(frozen=True)
-class SvrtanReport:
-    """Both sides of the n! formula with the pieces they came from."""
-
-    lhs: Fraction
-    rhs: Fraction
-    edge_determinants: tuple[Fraction, ...]
-    term_count: int
-
-    @property
-    def verdict(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def verify_svrtan(
     inst: SpinorInstance,
     *,
     threads: int = 1,
     term_budget: int = DEFAULT_TERM_BUDGET,
-) -> SvrtanReport:
+) -> SumReport:
     """Check the n! formula on one instance, exactly.
 
-    The choice space is split by rank range (equivalently bit prefix, the
-    enumeration index being the reflected-binary rank); each worker sums
-    its block of point-value determinants, and the total is divided once.
+    The report's invariant is n! and its determinants are the edge
+    determinants.  The point-value determinants are summed with their signs
+    and the total is divided once.  ``threads`` is accepted and ignored, as
+    by every sum.
     """
     terms = 1 << inst.edge_count
     if terms > term_budget:
         raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
     values, divisor = _point_values(inst)
-
-    def range_sum(lo: int, hi: int) -> int:
-        total = 0
-        for bits, d in _point_dets(inst.n, values, lo, hi):
-            total += -d if bits.bit_count() & 1 else d
-        return total
-
-    lhs = Fraction(_fan_out(range_sum, terms, threads), divisor)
-    rhs = Fraction(factorial(inst.n))
-    for d in inst.edge_dets:
-        rhs *= d
-    return SvrtanReport(
-        lhs=lhs, rhs=rhs, edge_determinants=inst.edge_dets, term_count=terms
-    )
+    total = 0
+    for bits, d in _point_dets(inst.n, values):
+        total += -d if bits.bit_count() & 1 else d
+    return SumReport.of(Fraction(total, divisor), factorial(inst.n), inst.edge_dets, terms)
 
 
 def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
@@ -312,7 +271,7 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
     count = 0
     marks = list(range(n))
     values, _ = _point_values(inst)
-    for bits, d in _point_dets(n, values, 0, terms):
+    for bits, d in _point_dets(n, values):
         if d:
             count += 1
             if sorted(out_degrees(Choice(bits, inst.edge_count), n)) != marks:
@@ -342,7 +301,7 @@ def svrtan_search(
                 return c
         return None
     values, _ = _point_values(inst)
-    for bits, d in _point_dets(inst.n, values, 0, 1 << E):
+    for bits, d in _point_dets(inst.n, values):
         if d:
             return Choice(bits, E)
     return None

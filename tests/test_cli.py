@@ -104,6 +104,14 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err.startswith("internal check failed: nonzero term")
 
+    def test_colorful_file_is_not_a_matrix_tuple(self, tmp_path):
+        # a colorful instance is a MatrixTuple in the library, not on the command line
+        path = tmp_path / "colorful.json"
+        path.write_text(canonical_json(instance_to_doc(random_colorful_instance(2, SplitMix64(3)))))
+        code, out, err = invoke(["verify-general", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: expected a matrix-tuple instance\n"
+
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:
             main(["no-such-thing"])
@@ -219,6 +227,15 @@ class TestCommands:
             ["svrtan-search", "--n", "4", "--seed", "2", "--incremental", "--format", "json"]
         )
         assert json.loads(plain)["witness"] == json.loads(inc)["witness"]
+
+    @pytest.mark.parametrize("n, note", [
+        (6, "nonsingular input and l(6) = 199065600 != 0: success guaranteed"),
+        (7, "l(7) = 0: success not guaranteed despite nonsingular input"),
+    ], ids=["n6", "n7"])
+    def test_rota_search_guarantee_up_to_order_7(self, n, note):
+        code, out, _ = invoke(["rota-search", "--n", str(n), "--seed", "3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["notes"] == [note]
 
     def test_census_failure_would_exit_one(self):
         # census passes for every n; exercise the passing path and layout

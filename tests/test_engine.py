@@ -16,10 +16,8 @@ from altdet.engine import (
     DenseTensorForm,
     MatrixTuple,
     MultilinearForm,
-    _fan_out,
     alternating_sum,
     invariant_at_identity,
-    partition_ranges,
     verify_identity,
 )
 from altdet.errors import BudgetError, DimensionError
@@ -344,24 +342,16 @@ class TestFastRoutesMatchLiteral:
 
 
 class TestPartition:
-    def test_ranges_cover_and_balance(self):
-        assert partition_ranges(10, 3) == [(0, 3), (3, 6), (6, 10)]
-        assert partition_ranges(4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert partition_ranges(0, 4) == []
-        assert partition_ranges(7, 1) == [(0, 7)]
-
-    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_fan_out_adds_every_range(self, threads):
-        def range_sum(lo, hi):
-            return sum(Fraction(1, k + 1) for k in range(lo, hi))
-
-        assert _fan_out(range_sum, 10, threads) == range_sum(0, 10)
+    """No sum is partitioned: every command runs serially whatever --threads says."""
 
     def test_serial_run_imports_no_pool(self):
         code = (
             "import sys; from altdet.cli import main; "
             "main(['verify-onn', '--n', '2', '--threads', '4']); "
             "main(['verify-general', '--shape', '2,2', '--threads', '1']); "
+            "main(['verify-general', '--shape', '2,2', '--threads', '2']); "
+            "main(['verify-svrtan', '--n', '3', '--threads', '2']); "
+            "main(['invariant', '--family', 'colorful', '--n', '2', '--threads', '2']); "
             "sys.exit('concurrent.futures' in sys.modules)"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

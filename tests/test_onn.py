@@ -230,6 +230,10 @@ class TestVerifyOnn:
         with pytest.raises(BudgetError):
             verify_onn(random_colorful(3, rng), term_budget=100)
 
+    def test_determinants_are_computed_once(self):
+        inst = random_colorful(3, random.Random(66))
+        assert inst.determinants is inst.determinants
+
     def test_precomputed_latin_count_reused(self):
         inst = ColorfulInstance.of([Matrix.identity(2), Matrix.identity(2)])
         assert verify_onn(inst, latin_count=2).verdict

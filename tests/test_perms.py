@@ -107,17 +107,6 @@ class TestEnumeration:
         for r in range(factorial(5)):
             assert unrank(5, r).parity == (-1) ** r
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_restart_at_any_rank(self, n):
-        full = list(enumerate_signed(n))
-        for start in range(factorial(n) + 1):
-            assert list(enumerate_signed(n, start=start)) == full[start:]
-
-    def test_rank_range_slicing(self):
-        full = list(enumerate_signed(4))
-        assert list(enumerate_signed(4, start=5, stop=17)) == full[5:17]
-        assert list(enumerate_signed(4, start=10, stop=10)) == []
-
     def test_unrank_out_of_range(self):
         with pytest.raises(DimensionError):
             unrank(3, 6)
@@ -145,15 +134,6 @@ class TestProduct:
         assert sorted(t.parity for t in tuples) == [-1] * 6 + [1] * 6
         seen = {tuple(p.mapping for p in t.parts) for t in tuples}
         assert len(seen) == 12
-
-    @pytest.mark.parametrize("shape", [Shape.of(3, 2), Shape.of(2, 2, 2)])
-    def test_range_splits_cover_stream(self, shape):
-        full = list(enumerate_product(shape))
-        for cut in [1, 3, 5]:
-            glued = list(enumerate_product(shape, 0, cut)) + list(
-                enumerate_product(shape, cut, shape.term_count)
-            )
-            assert glued == full
 
     def test_tuple_parity_is_product(self):
         for t in islice(enumerate_product(Shape.of(3, 3)), 36):

@@ -64,20 +64,19 @@ def singular_spinor(n, rng):
     return SpinorInstance(n, (flat,) + inst.bases[1:])
 
 
-def literal_sum(inst, lo=0, hi=None):
-    """Signed choice sum over ranks [lo, hi) by the polynomial route."""
+def literal_sum(inst):
+    """Signed choice sum by the polynomial route."""
     total = Fraction(0)
-    for c in enumerate_choices(inst.edge_count, lo, hi):
+    for c in enumerate_choices(inst.edge_count):
         total += c.sign * choice_det(inst, c)
     return total
 
 
-def walker_sum(inst, lo=0, hi=None):
+def walker_sum(inst):
     """The same sum by the point-value walker, divided once."""
     values, divisor = _point_values(inst)
-    hi = 1 << inst.edge_count if hi is None else hi
     total = 0
-    for bits, d in _point_dets(inst.n, values, lo, hi):
+    for bits, d in _point_dets(inst.n, values):
         total += -d if bits.bit_count() % 2 else d
     return Fraction(total, divisor)
 
@@ -147,10 +146,6 @@ class TestChoice:
         for a, b in zip(seen, seen[1:]):
             assert bin(a.bits ^ b.bits).count("1") == 1
 
-    def test_range_slicing(self):
-        full = list(enumerate_choices(4))
-        assert list(enumerate_choices(4, 3, 11)) == full[3:11]
-
 
 class TestChoicePolys:
     def test_n2_both_choices(self):
@@ -178,9 +173,9 @@ class TestChoicePolys:
         rng = random.Random(81)
         inst = random_spinor(4, rng)
         c = Choice(0b0110, 6)
-        base = choice_polys(inst, c).polys
+        base = choice_polys(inst, c)
         for idx, (i, j) in enumerate(edge_pairs(4)):
-            flipped = choice_polys(inst, c.flip(idx)).polys
+            flipped = choice_polys(inst, c.flip(idx))
             changed = [v for v in range(4) if flipped[v] != base[v]]
             assert set(changed) <= {i, j}
             assert c.flip(idx).sign == -c.sign
@@ -216,22 +211,10 @@ class TestPointWalk:
     def test_each_term_is_scaled_choice_det(self):
         inst = rational_spinor(4, random.Random(230))
         values, divisor = _point_values(inst)
-        walked = list(_point_dets(4, values, 0, 64))
+        walked = list(_point_dets(4, values))
         assert [bits for bits, _ in walked] == [c.bits for c in enumerate_choices(6)]
         for bits, d in walked:
             assert Fraction(d, divisor) == choice_det(inst, Choice(bits, 6))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 4), st.data())
-    def test_sub_ranges(self, n, data):
-        # a range that starts mid-walk must rebuild its columns from the rank
-        terms = 1 << (n * (n - 1) // 2)
-        lo = data.draw(st.integers(0, terms))
-        hi = data.draw(st.integers(lo, terms))
-        seed = data.draw(st.integers(0, 2**32))
-        rng = random.Random(seed)
-        inst = rational_spinor(n, rng) if seed % 2 else random_spinor(n, rng, nonsingular=False)
-        assert walker_sum(inst, lo, hi) == literal_sum(inst, lo, hi)
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_threads(self, threads):
@@ -256,9 +239,9 @@ class TestVerifySvrtan:
         rng = random.Random(90 + n)
         for _ in range(10):
             report = verify_svrtan(random_spinor(n, rng))
-            assert report.verdict
+            assert report.verdict and report.invariant == factorial(n)
             expected = Fraction(factorial(n))
-            for d in report.edge_determinants:
+            for d in report.determinants:
                 expected *= d
             assert report.rhs == expected
 
