@@ -3,7 +3,8 @@
 Every subcommand prints one report to standard output, in a plain text
 layout or as a single JSON document, and nothing else there.  Timing goes
 to standard error, so reports are byte-identical for a fixed seed.
-``--threads`` is accepted and validated, and every command runs serially.
+``--threads`` is accepted and validated, and every command runs serially;
+``--incremental`` is accepted and ignored, as the search has one walk.
 Exit codes: 0 when the checked identity holds or a search finds a
 witness, 1 when a check fails or a search exhausts, 2 for bad inputs, 3
 for exhausted budgets, 4 when an internal self-check fails.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -63,7 +63,7 @@ MAX_SEED = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs, resolved from flags and environment."""
+    """Everything one invocation needs, resolved from flags."""
 
     command: str
     n: int | None = None
@@ -75,7 +75,6 @@ class RunConfig:
     format: str = "text"
     family: str | None = None
     cross_check: bool = False
-    incremental: bool = False
 
 
 @dataclass
@@ -319,7 +318,7 @@ def cmd_verify_svrtan(cfg: RunConfig) -> tuple[Report, int]:
 
 def cmd_svrtan_search(cfg: RunConfig) -> tuple[Report, int]:
     inst, seed = _spinor_input(cfg)
-    c = svrtan_search(inst, incremental=cfg.incremental, term_budget=cfg.term_budget)
+    c = svrtan_search(inst, term_budget=cfg.term_budget)
     guaranteed = inst.is_nonsingular
     if guaranteed:
         notes = ["all edge determinants nonzero: a nonzero assignment is guaranteed"]
@@ -382,23 +381,15 @@ def _positive(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ALTDET_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altdet",
         description="Exact checks and searches for alternating determinant identities.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive, default=_default_threads(),
+    common.add_argument("--threads", type=_positive, default=1,
                         help="accepted for compatibility; every command runs serially whatever "
-                        "it says (default: ALTDET_THREADS or 1)")
+                        "it says (default: 1)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report layout on stdout")
     common.add_argument("--term-budget", type=_positive, default=DEFAULT_TERM_BUDGET,
@@ -446,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--incremental", action="store_true",
-                   help="test point-value determinants, refreshing two columns per bit flip")
+                   help="accepted for compatibility; the search always tests point-value "
+                   "determinants, refreshing two columns per bit flip")
 
     p = add("census", "count surviving identity-spinor choices; must be n!")
     p.add_argument("--n", type=_positive, required=True)
@@ -465,7 +457,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         format=args.format,
         family=getattr(args, "family", None),
         cross_check=getattr(args, "cross_check", False),
-        incremental=getattr(args, "incremental", False),
     )
 
 
@@ -476,10 +467,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     started = time.perf_counter()
     try:
         report, code = _HANDLERS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except DimensionError as exc:
+    except (InputError, DimensionError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except BudgetError as exc:

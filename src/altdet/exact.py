@@ -93,17 +93,6 @@ class Matrix:
         cols = list(zip(*self.entries))
         return cols
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        cols = other.columns()
-        return Matrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
     def __str__(self) -> str:
         return "\n".join(" ".join(format_rational(x) for x in row) for row in self.entries)
 
@@ -158,11 +147,6 @@ def det(m: Matrix) -> Fraction:
     return Fraction(_int_det(grid), scale)
 
 
-def det_int_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an all-integer square grid, for hot enumeration loops."""
-    return _int_det([list(row) for row in rows])
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Dense polynomial in one variable; coeffs[d] is the t**d coefficient."""
@@ -196,14 +180,6 @@ class Polynomial:
             if self.coeffs[d] != 0:
                 return d
         raise ValueError("the zero polynomial has no degree")
-
-    def embed(self, ambient: int) -> "Polynomial":
-        """Re-embed into degree-< ambient space, padding or trimming zeros."""
-        if ambient >= len(self.coeffs):
-            return Polynomial(self.coeffs + (0,) * (ambient - len(self.coeffs)))
-        if any(c != 0 for c in self.coeffs[ambient:]):
-            raise DimensionError(f"polynomial of degree {self.degree} does not fit in V_{ambient}")
-        return Polynomial(self.coeffs[:ambient])
 
     def __call__(self, t: Scalar) -> Scalar:
         value = 0

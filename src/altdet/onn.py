@@ -278,9 +278,8 @@ def _onn_partial(n: int, table: list[int]) -> int:
             value = _int_det([table[k * n:k * n + n] for k in keys])
             total += value if sign > 0 else -value
             return
-        for p in pool:
-            m = p.mapping
-            descend(level + 1, sign * p.parity, tuple(k * n + m[j] for j, k in enumerate(keys)))
+        for parity, m in pool:
+            descend(level + 1, sign * parity, tuple(k * n + m[j] for j, k in enumerate(keys)))
 
     descend(min(1, last), 1, tuple(range(n)))
     return total

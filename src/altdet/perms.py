@@ -1,25 +1,25 @@
-"""Signed permutation streams in plain-changes order, and the column action.
+"""Signed permutations, the enumeration of Sigma_n and its products, and the column action.
 
 Permutations are stored as 0-based mapping tuples with the sign carried
-alongside, so consumers never recount inversions.  Enumeration follows the
-plain-changes order (Steinhaus-Johnson-Trotter): successive permutations
-differ by one adjacent transposition, so the sign alternates and equals
-(-1)**rank.  Ranks live in the factorial number system: `unrank` and `rank`
-convert between a rank and its permutation.
+alongside, so consumers never recount inversions.  Each Sigma_n is
+enumerated once per size, in lexicographic order from the identity, into a
+cached pool of ``(parity, mapping)`` pairs.  Every sum over the group is
+exact, so no result depends on that order.
 
-Products of symmetric groups enumerate in mixed-radix order over per-factor
-ranks, rightmost factor fastest.  One private walker yields the raw
-``(parity, mappings)`` of each element for hot loops; `enumerate_product`
-wraps the same walk in validated `SignedPermTuple`s.
+Products of symmetric groups enumerate in mixed-radix order over the
+pools, rightmost factor fastest.  Hot loops read the pools directly, or
+take the raw ``(parity, mappings)`` of each element from one private
+walker; `enumerate_signed` and `enumerate_product` wrap the same pools in
+validated `SignedPerm`s and `SignedPermTuple`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import factorial
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError
 from .exact import Matrix
@@ -79,86 +79,19 @@ class SignedPerm:
         )
 
 
-def unrank(n: int, r: int) -> SignedPerm:
-    """The permutation at position ``r`` of the plain-changes order on n points."""
-    if n < 1:
-        raise DimensionError("permutations need at least one point")
-    if not 0 <= r < factorial(n):
-        raise DimensionError(f"rank {r} out of range for n={n}")
-    return SignedPerm(tuple(_unrank_word(n, r)), -1 if r % 2 else 1)
+@lru_cache(maxsize=None)
+def _pool(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """All of Sigma_n as ``(parity, mapping)`` pairs, built once per size.
 
-
-def rank(mapping: Sequence[int]) -> int:
-    """Position of a mapping in the plain-changes order; inverse of unrank."""
-    word = list(mapping)
-    n = len(word)
-    ds = []
-    for k in range(n, 1, -1):
-        p = word.index(k - 1)
-        word.pop(p)
-        ds.append(p)
-    r = 0
-    for k, p in zip(range(2, n + 1), reversed(ds)):
-        d = (k - 1 - p) if r % 2 == 0 else p
-        r = r * k + d
-    return r
-
-
-def _unrank_word(n: int, r: int) -> list[int]:
-    """Arrangement at rank r: insert each element at its factorial-digit slot.
-
-    At level k the digit d = r mod k places element k-1; the direction of the
-    sweep alternates with the parity of the remaining quotient, matching the
-    adjacent-transposition order.
+    n < 1 is rejected by SignedPerm, which sees the one empty mapping.
     """
-    levels = []
-    for k in range(n, 1, -1):
-        r, d = divmod(r, k)
-        levels.append((k, d, r))
-    word = [0]
-    for k, d, q in reversed(levels):
-        pos = (k - 1 - d) if q % 2 == 0 else d
-        word.insert(pos, k - 1)
-    return word
-
-
-def _step(word: list[int], dirs: list[int]) -> bool:
-    """Advance one adjacent transposition; False when no element is mobile."""
-    n = len(word)
-    best = -1
-    best_at = -1
-    for i, v in enumerate(word):
-        j = i + dirs[v]
-        if 0 <= j < n and word[j] < v and v > best:
-            best = v
-            best_at = i
-    if best < 0:
-        return False
-    j = best_at + dirs[best]
-    word[best_at], word[j] = word[j], word[best_at]
-    for v in range(best + 1, n):
-        dirs[v] = -dirs[v]
-    return True
+    return tuple((SignedPerm.from_mapping(m).parity, m) for m in permutations(range(n)))
 
 
 def enumerate_signed(n: int) -> Iterator[SignedPerm]:
-    """Stream Sigma_n in plain-changes order, from the identity."""
-    if n < 1:
-        raise DimensionError("permutations need at least one point")
-    word = list(range(n))
-    dirs = [-1] * n
-    sign = 1
-    while True:
-        yield SignedPerm(tuple(word), sign)
-        if not _step(word, dirs):
-            return
-        sign = -sign
-
-
-@lru_cache(maxsize=None)
-def _pool(n: int) -> tuple[SignedPerm, ...]:
-    """All of Sigma_n in plain-changes order, materialized once per size."""
-    return tuple(enumerate_signed(n))
+    """Stream Sigma_n in lexicographic order, from the identity."""
+    for parity, mapping in _pool(n):
+        yield SignedPerm(mapping, parity)
 
 
 @dataclass(frozen=True)
@@ -192,9 +125,6 @@ class Shape:
     def __iter__(self) -> Iterator[int]:
         return iter(self.sizes)
 
-    def __len__(self) -> int:
-        return len(self.sizes)
-
 
 @dataclass(frozen=True)
 class SignedPermTuple:
@@ -224,10 +154,6 @@ class SignedPermTuple:
     def identity(cls, shape: Shape) -> "SignedPermTuple":
         return cls.of(SignedPerm.identity(s) for s in shape)
 
-    @property
-    def shape(self) -> Shape:
-        return Shape(tuple(p.n for p in self.parts))
-
     @cached_property
     def inverse(self) -> "SignedPermTuple":
         return SignedPermTuple(tuple(p.inverse for p in self.parts), self.parity)
@@ -241,11 +167,10 @@ class SignedPermTuple:
 def _walk_product(shape: Shape) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
     """Raw ``(parity, mappings)`` of every element of the product group.
 
-    The one mixed-radix walk of the product group: per-factor plain-changes
-    ranks, rightmost factor fastest.
+    The one mixed-radix walk of the product group over the per-factor
+    pools, rightmost factor fastest.
     """
-    pools = [[(p.parity, p.mapping) for p in _pool(s)] for s in shape.sizes]
-    for picks in product(*pools):
+    for picks in product(*(_pool(s) for s in shape.sizes)):
         parity = 1
         for sign, _ in picks:
             parity *= sign
@@ -254,9 +179,9 @@ def _walk_product(shape: Shape) -> Iterator[tuple[int, tuple[tuple[int, ...], ..
 
 def enumerate_product(shape: Shape) -> Iterator[SignedPermTuple]:
     """Stream the product group in mixed-radix order, rightmost factor fastest."""
-    by_mapping = [{p.mapping: p for p in _pool(s)} for s in shape.sizes]
-    for parity, maps in _walk_product(shape):
-        yield SignedPermTuple(tuple(look[m] for look, m in zip(by_mapping, maps)), parity)
+    factors = [list(enumerate_signed(s)) for s in shape.sizes]
+    for parts in product(*factors):
+        yield SignedPermTuple.of(parts)
 
 
 def act(sigma: SignedPermTuple, A: "MatrixTuple") -> "MatrixTuple":

@@ -19,15 +19,15 @@ With every basis (1, t), a choice contributes iff the t-multiplicities of
 the vertices are a permutation of 0..n-1, i.e. the induced orientation is
 a transitive tournament; exactly n! choices survive, one per vertex order.
 
-The sum, the census and the incremental search evaluate instead: the
-values of p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the
-coefficient matrix, so each determinant gains the factor prod over a < b of
-(b - a).  Scaling each basis element by the lcm of its denominators makes
-every value an integer and multiplies every term by the same product of
-scales, since each choice uses both elements of every edge.  Choices run in
-reflected-binary order, so a step rebuilds only the two value columns of the
-flipped edge; the signed integer total is divided once.  choice_polys and
-choice_det are the literal route.
+The sum, the census and the search evaluate instead: the values of
+p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the coefficient
+matrix, so each determinant gains the factor prod over a < b of (b - a).
+Scaling each basis element by the lcm of its denominators makes every
+value an integer and multiplies every term by the same product of scales,
+since each choice uses both elements of every edge.  Choices run in
+reflected-binary order, so a step rebuilds only the two value columns of
+the flipped edge; the signed integer total is divided once.  choice_polys
+and choice_det are the literal route.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
 from .errors import BudgetError, DimensionError, SelfCheckError
-from .exact import Matrix, Polynomial, det, det_int_rows, int_scaled, poly_det, poly_mul
+from .exact import Matrix, Polynomial, _int_det, det, int_scaled, poly_det, poly_mul
 from .perms import Shape
 
 ONE = Polynomial((1, 0))
@@ -213,7 +213,7 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
             cols[i] = column(i, bits)
             cols[j] = column(j, bits)
         # columns passed as rows: the transpose has the same determinant
-        yield bits, det_int_rows(cols)
+        yield bits, _int_det([col[:] for col in cols])
 
 
 def out_degrees(c: Choice, n: int) -> tuple[int, ...]:
@@ -285,21 +285,17 @@ def svrtan_search(
     incremental: bool = False,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> Choice | None:
-    """First choice with a nonzero determinant, walking one bit at a time.
+    """First choice, in reflected-binary order, with a nonzero determinant.
 
     None only comes back for singular instances; otherwise the formula
-    guarantees a nonzero term.  The incremental path tests point-value
-    determinants, refreshing just the two value columns an edge flip
-    touches, and is checked against the plain path by tests.
+    guarantees a nonzero term.  The walk tests point-value determinants,
+    which vanish exactly when the coefficient ones do, refreshing just the
+    two value columns an edge flip touches; tests check it against a
+    literal choice_det loop.  ``incremental`` is accepted and ignored.
     """
     E = inst.edge_count
     if (1 << E) > term_budget:
         raise BudgetError("choice space has too many terms", count=1 << E, budget=term_budget)
-    if not incremental:
-        for c in enumerate_choices(E):
-            if choice_det(inst, c) != 0:
-                return c
-        return None
     values, _ = _point_values(inst)
     for bits, d in _point_dets(inst.n, values):
         if d:

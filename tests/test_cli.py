@@ -266,8 +266,3 @@ class TestDeterminism:
         ):
             base = invoke(argv + ["--threads", "1"])[1]
             assert invoke(argv + ["--threads", "8"])[1] == base
-
-    def test_threads_env_default(self, monkeypatch):
-        monkeypatch.setenv("ALTDET_THREADS", "4")
-        args = build_parser().parse_args(["census", "--n", "2"])
-        assert args.threads == 4

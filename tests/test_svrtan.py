@@ -64,6 +64,14 @@ def singular_spinor(n, rng):
     return SpinorInstance(n, (flat,) + inst.bases[1:])
 
 
+def literal_first_nonzero(inst):
+    """First choice, in reflected-binary order, with a nonzero coefficient determinant."""
+    for c in enumerate_choices(inst.edge_count):
+        if choice_det(inst, c) != 0:
+            return c
+    return None
+
+
 def literal_sum(inst):
     """Signed choice sum by the polynomial route."""
     total = Fraction(0)
@@ -311,12 +319,30 @@ class TestSearch:
             assert c is not None
             assert choice_det(inst, c) != 0
 
-    def test_incremental_agrees_with_plain(self):
+    def test_agrees_with_literal_first_nonzero(self):
         rng = random.Random(106)
         for n in (3, 4, 5):
             for _ in range(10):
-                for inst in (random_spinor(n, rng, nonsingular=False), rational_spinor(n, rng)):
-                    assert svrtan_search(inst) == svrtan_search(inst, incremental=True)
+                for inst in (
+                    random_spinor(n, rng, nonsingular=False),
+                    rational_spinor(n, rng),
+                    singular_spinor(n, rng),
+                ):
+                    assert svrtan_search(inst) == literal_first_nonzero(inst)
+
+    def test_walks_without_choice_det(self, monkeypatch):
+        rng = random.Random(107)
+        insts = [random_spinor(n, rng) for n in (2, 3, 4, 5)]
+        insts += [rational_spinor(4, rng), singular_spinor(4, rng)]
+        expected = [literal_first_nonzero(inst) for inst in insts]
+
+        def refuse(*_):
+            raise AssertionError("the search must not take per-choice coefficient determinants")
+
+        monkeypatch.setattr("altdet.svrtan.choice_det", refuse)
+        for inst, c in zip(insts, expected):
+            assert svrtan_search(inst) == c
+            assert svrtan_search(inst, incremental=True) == c
 
     def test_budget(self):
         with pytest.raises(BudgetError):
