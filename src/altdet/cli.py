@@ -3,8 +3,8 @@
 Every subcommand prints one report to standard output, in a plain text
 layout or as a single JSON document, and nothing else there.  Timing goes
 to standard error, so reports are byte-identical for a fixed seed.
-``--threads`` is accepted and validated, and every command runs serially;
-``--incremental`` is accepted and ignored, as the search has one walk.
+``--threads`` is accepted and validated, and every command runs serially.
+Handlers read the parsed ``argparse.Namespace`` directly.
 Exit codes: 0 when the checked identity holds or a search finds a
 witness, 1 when a check fails or a search exhausts, 2 for bad inputs, 3
 for exhausted budgets, 4 when an internal self-check fails.
@@ -62,24 +62,8 @@ MAX_SEED = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from flags."""
-
-    command: str
-    n: int | None = None
-    shape: Shape | None = None
-    input_path: str | None = None
-    seed: int = 0
-    term_budget: int = DEFAULT_TERM_BUDGET
-    node_budget: int = DEFAULT_NODE_BUDGET
-    format: str = "text"
-    family: str | None = None
-    cross_check: bool = False
-
-
-@dataclass
 class Report:
-    """What a run found; `elapsed` is measured by the driver, stderr only."""
+    """What a run found; the elapsed time goes to stderr, not in the report."""
 
     command: str
     digest: str
@@ -89,7 +73,6 @@ class Report:
     term_count: int | None = None
     witness: dict | None = None
     notes: tuple[str, ...] = ()
-    elapsed: float | None = None
 
     @property
     def verdict(self) -> bool:
@@ -127,31 +110,37 @@ class Report:
 
 
 def _witness_text(witness: dict) -> list[str]:
-    if witness.get("kind") == "selection":
+    if witness["kind"] == "selection":
         return [
             f"sigma[{i + 1}]: " + " ".join(str(v) for v in row)
             for i, row in enumerate(witness["maps"])
         ]
-    if witness.get("kind") == "choice":
-        picks = " ".join(witness["picks"])
-        return [f"choice bits: {witness['bits']}", f"picks: {picks}"]
-    return [f"witness: {json.dumps(witness)}"]
+    return [f"choice bits: {witness['bits']}", f"picks: {' '.join(witness['picks'])}"]
 
 
-def _need(cfg: RunConfig, what: str):
-    raise InputError(f"{cfg.command}: {what}")
+def _need(args: argparse.Namespace, what: str):
+    raise InputError(f"{args.command}: {what}")
 
 
-def _load_typed(cfg: RunConfig, expected: type, kind_name: str):
-    inst = load_instance(cfg.input_path)
+def _load_typed(args: argparse.Namespace, expected: type, kind_name: str):
+    inst = load_instance(args.input)
     # exact type: a colorful instance is a MatrixTuple but not a matrix-tuple file
     if type(inst) is not expected:
-        raise InputError(f"{cfg.input_path}: expected a {kind_name} instance")
+        raise InputError(f"{args.input}: expected a {kind_name} instance")
     return inst
 
 
+def _instance_input(args: argparse.Namespace, expected: type, kind_name: str, draw):
+    """The instance read from --input, or drawn by ``draw(n, rng)``, with the seed used."""
+    if args.input:
+        return _load_typed(args, expected, kind_name), None
+    if args.n is None:
+        _need(args, "give --input or --n")
+    return draw(args.n, SplitMix64(args.seed)), args.seed
+
+
 def _sum_report(
-    cfg: RunConfig,
+    args: argparse.Namespace,
     digest: str,
     lhs: Fraction,
     rhs: Fraction,
@@ -161,12 +150,12 @@ def _sum_report(
     term_count: int | None = None,
 ) -> tuple[Report, int]:
     """The report of a two-sided check; it exits 0 when the sides agree."""
-    report = Report(cfg.command, digest, lhs, rhs, seed=seed, term_count=term_count, notes=tuple(notes))
+    report = Report(args.command, digest, lhs, rhs, seed=seed, term_count=term_count, notes=tuple(notes))
     return report, 0 if report.verdict else 1
 
 
 def _search_report(
-    cfg: RunConfig,
+    args: argparse.Namespace,
     inst: ColorfulInstance | SpinorInstance,
     seed: int | None,
     witness: dict | None,
@@ -182,7 +171,7 @@ def _search_report(
         bug = "exhausted despite a guarantee: this indicates a bug"
         notes = notes + [bug if guaranteed else "search exhausted"]
     report = Report(
-        cfg.command,
+        args.command,
         doc_digest(instance_to_doc(inst)),
         lhs=Fraction(found),
         rhs=Fraction(found or guaranteed),
@@ -193,98 +182,74 @@ def _search_report(
     return report, 0 if found else 1
 
 
-def cmd_verify_general(cfg: RunConfig) -> tuple[Report, int]:
-    rng = SplitMix64(cfg.seed)
-    if cfg.input_path:
-        A = _load_typed(cfg, MatrixTuple, "matrix-tuple")
+def cmd_verify_general(args: argparse.Namespace) -> tuple[Report, int]:
+    rng = SplitMix64(args.seed)
+    if args.input:
+        A = _load_typed(args, MatrixTuple, "matrix-tuple")
         f = random_dense_form(A.shape, rng)
-    elif cfg.shape is not None:
+    elif args.shape is not None:
         # one stream seeds both: form coefficients first, then matrices
-        f = random_dense_form(cfg.shape, rng)
-        A = random_matrix_tuple(cfg.shape, rng)
+        f = random_dense_form(args.shape, rng)
+        A = random_matrix_tuple(args.shape, rng)
     else:
-        _need(cfg, "give --input or --shape")
-    rep = verify_identity(f, A, term_budget=cfg.term_budget)
+        _need(args, "give --input or --shape")
+    rep = verify_identity(f, A, term_budget=args.term_budget)
     digest = doc_digest({"instance": instance_to_doc(A), "form": [format_rational(c) for c in f.coeffs]})
     notes = [f"invariant = {format_rational(rep.invariant)}"]
-    return _sum_report(cfg, digest, rep.lhs, rep.rhs, notes, seed=cfg.seed, term_count=rep.term_count)
+    return _sum_report(args, digest, rep.lhs, rep.rhs, notes, seed=args.seed, term_count=rep.term_count)
 
 
-def cmd_invariant(cfg: RunConfig) -> tuple[Report, int]:
-    seed: int | None = None
-    if cfg.family == "dense":
-        if cfg.shape is None:
-            _need(cfg, "family dense needs --shape")
-        f = random_dense_form(cfg.shape, SplitMix64(cfg.seed))
-        seed = cfg.seed
-        lhs = rhs = invariant_at_identity(f, term_budget=cfg.term_budget)
-        note = "dense forms have no independent route; value reported as both sides"
-        inputs = {"family": "dense", "shape": list(cfg.shape.sizes), "seed": cfg.seed}
-        terms = cfg.shape.term_count
-    elif cfg.family == "colorful":
-        if cfg.n is None:
-            _need(cfg, "family colorful needs --n")
-        lhs = invariant_at_identity(colorful_form(cfg.n), term_budget=cfg.term_budget)
-        rhs = Fraction(alon_tarsi_count(cfg.n, term_budget=cfg.term_budget))
-        note = "independent route: signed Latin-square enumeration"
-        inputs = {"family": "colorful", "n": cfg.n}
-        terms = factorial(cfg.n) ** cfg.n
-    elif cfg.family == "spinor":
-        if cfg.n is None:
-            _need(cfg, "family spinor needs --n")
-        form, _ = as_engine_instance(SpinorInstance.identity(cfg.n))
-        lhs = invariant_at_identity(form, term_budget=cfg.term_budget)
-        rhs = Fraction(factorial(cfg.n))
-        note = "independent route: n factorial"
-        inputs = {"family": "spinor", "n": cfg.n}
-        terms = 1 << (cfg.n * (cfg.n - 1) // 2)
+def cmd_invariant(args: argparse.Namespace) -> tuple[Report, int]:
+    family, n = args.family, args.n
+    if family == "dense":
+        if args.shape is None:
+            _need(args, "family dense needs --shape")
+        form = random_dense_form(args.shape, SplitMix64(args.seed))
+        inputs = {"family": "dense", "shape": list(args.shape.sizes), "seed": args.seed}
     else:
-        _need(cfg, "give --family dense, colorful or spinor")
-    return _sum_report(cfg, doc_digest(inputs), lhs, rhs, [note], seed=seed, term_count=terms)
+        if n is None:
+            _need(args, f"family {family} needs --n")
+        if family == "colorful":
+            form = colorful_form(n)
+        else:
+            form, _ = as_engine_instance(SpinorInstance.identity(n))
+        inputs = {"family": family, "n": n}
+    lhs = invariant_at_identity(form, term_budget=args.term_budget)
+    if family == "dense":
+        rhs, note = lhs, "dense forms have no independent route; value reported as both sides"
+    elif family == "colorful":
+        rhs = Fraction(alon_tarsi_count(n, term_budget=args.term_budget))
+        note = "independent route: signed Latin-square enumeration"
+    else:
+        rhs, note = Fraction(factorial(n)), "independent route: n factorial"
+    seed = args.seed if family == "dense" else None
+    return _sum_report(args, doc_digest(inputs), lhs, rhs, [note], seed=seed, term_count=form.shape.term_count)
 
 
-def cmd_alon_tarsi(cfg: RunConfig) -> tuple[Report, int]:
-    if cfg.n is None:
-        _need(cfg, "give --n")
-    lhs = Fraction(alon_tarsi_count(cfg.n, term_budget=cfg.term_budget))
-    if cfg.cross_check:
-        rhs = invariant_at_identity(colorful_form(cfg.n), term_budget=cfg.term_budget)
+def cmd_alon_tarsi(args: argparse.Namespace) -> tuple[Report, int]:
+    lhs = Fraction(alon_tarsi_count(args.n, term_budget=args.term_budget))
+    if args.cross_check:
+        rhs = invariant_at_identity(colorful_form(args.n), term_budget=args.term_budget)
         note = "cross-checked against the colorful-form invariant"
     else:
         rhs = lhs
         note = "single route (reduced-square count); pass --cross-check to compare"
-    return _sum_report(cfg, doc_digest({"n": cfg.n}), lhs, rhs, [note])
+    return _sum_report(args, doc_digest({"n": args.n}), lhs, rhs, [note])
 
 
-def _colorful_input(cfg: RunConfig) -> tuple[ColorfulInstance, int | None]:
-    if cfg.input_path:
-        return _load_typed(cfg, ColorfulInstance, "colorful"), None
-    if cfg.n is None:
-        _need(cfg, "give --input or --n")
-    return random_colorful_instance(cfg.n, SplitMix64(cfg.seed)), cfg.seed
-
-
-def _spinor_input(cfg: RunConfig) -> tuple[SpinorInstance, int | None]:
-    if cfg.input_path:
-        return _load_typed(cfg, SpinorInstance, "spinor"), None
-    if cfg.n is None:
-        _need(cfg, "give --input or --n")
-    return random_spinor_instance(cfg.n, SplitMix64(cfg.seed)), cfg.seed
-
-
-def cmd_verify_onn(cfg: RunConfig) -> tuple[Report, int]:
-    inst, seed = _colorful_input(cfg)
-    rep = verify_onn(inst, term_budget=cfg.term_budget)
+def cmd_verify_onn(args: argparse.Namespace) -> tuple[Report, int]:
+    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance)
+    rep = verify_onn(inst, term_budget=args.term_budget)
     notes = [f"signed Latin count l({inst.n}) = {rep.latin_count}"]
     if not inst.is_nonsingular:
         notes.append("input is singular: right-hand side vanishes")
     digest = doc_digest(instance_to_doc(inst))
-    return _sum_report(cfg, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
+    return _sum_report(args, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
 
 
-def cmd_rota_search(cfg: RunConfig) -> tuple[Report, int]:
-    inst, seed = _colorful_input(cfg)
-    sel = rota_search(inst, node_budget=cfg.node_budget)
+def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
+    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance)
+    sel = rota_search(inst, node_budget=args.node_budget)
     notes: list[str] = []
     guaranteed = False
     if not inst.is_nonsingular:
@@ -305,20 +270,20 @@ def cmd_rota_search(cfg: RunConfig) -> tuple[Report, int]:
             raise SelfCheckError("search returned a selection with a zero transversal")
         maps = [[v + 1 for v in part.mapping] for part in sel.sigma.parts]
         witness = {"kind": "selection", "maps": maps}
-    return _search_report(cfg, inst, seed, witness, guaranteed, notes)
+    return _search_report(args, inst, seed, witness, guaranteed, notes)
 
 
-def cmd_verify_svrtan(cfg: RunConfig) -> tuple[Report, int]:
-    inst, seed = _spinor_input(cfg)
-    rep = verify_svrtan(inst, term_budget=cfg.term_budget)
+def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
+    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance)
+    rep = verify_svrtan(inst, term_budget=args.term_budget)
     notes = [] if inst.is_nonsingular else ["input has a singular edge basis: right-hand side vanishes"]
     digest = doc_digest(instance_to_doc(inst))
-    return _sum_report(cfg, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
+    return _sum_report(args, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
 
 
-def cmd_svrtan_search(cfg: RunConfig) -> tuple[Report, int]:
-    inst, seed = _spinor_input(cfg)
-    c = svrtan_search(inst, term_budget=cfg.term_budget)
+def cmd_svrtan_search(args: argparse.Namespace) -> tuple[Report, int]:
+    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance)
+    c = svrtan_search(inst, term_budget=args.term_budget)
     guaranteed = inst.is_nonsingular
     if guaranteed:
         notes = ["all edge determinants nonzero: a nonzero assignment is guaranteed"]
@@ -330,20 +295,18 @@ def cmd_svrtan_search(cfg: RunConfig) -> tuple[Report, int]:
             raise SelfCheckError("search returned a choice with zero determinant")
         picks = ["p2" if c.bit(idx) else "p1" for idx in range(c.edge_count)]
         witness = {"kind": "choice", "bits": c.bits, "picks": picks}
-    return _search_report(cfg, inst, seed, witness, guaranteed, notes)
+    return _search_report(args, inst, seed, witness, guaranteed, notes)
 
 
-def cmd_census(cfg: RunConfig) -> tuple[Report, int]:
-    if cfg.n is None:
-        _need(cfg, "give --n")
-    count = nonzero_term_census(cfg.n, term_budget=cfg.term_budget)
+def cmd_census(args: argparse.Namespace) -> tuple[Report, int]:
+    count = nonzero_term_census(args.n, term_budget=args.term_budget)
     return _sum_report(
-        cfg,
-        doc_digest({"n": cfg.n}),
+        args,
+        doc_digest({"n": args.n}),
         Fraction(count),
-        Fraction(factorial(cfg.n)),
+        Fraction(factorial(args.n)),
         ["every surviving choice passed the transitive-tournament degree test"],
-        term_count=1 << (cfg.n * (cfg.n - 1) // 2),
+        term_count=1 << (args.n * (args.n - 1) // 2),
     )
 
 
@@ -396,8 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hard cap on enumerated terms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kw):
-        return sub.add_parser(name, parents=[common], help=help_text, **kw)
+    def add(name, help_text):
+        return sub.add_parser(name, parents=[common], help=help_text)
+
+    def add_instance(name, help_text, kind_name):
+        p = add(name, help_text)
+        p.add_argument("--input", help=f"{kind_name} JSON file, or - for stdin")
+        p.add_argument("--n", type=_positive, help="generate a random nonsingular instance of this order")
+        p.add_argument("--seed", type=_seed_arg, default=0, help="seed for the generated instance")
+        return p
 
     p = add("verify-general", "check the general factorization on a matrix tuple")
     p.add_argument("--input", help="matrix-tuple JSON file, or - for stdin")
@@ -415,58 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true",
                    help="also compute the colorful-form invariant and compare")
 
-    p = add("verify-onn", "check the colorful identity on an instance")
-    p.add_argument("--input", help="colorful JSON file, or - for stdin")
-    p.add_argument("--n", type=_positive, help="generate a random nonsingular instance")
-    p.add_argument("--seed", type=_seed_arg, default=0)
-
-    p = add("rota-search", "search for disjoint nonzero transversals")
-    p.add_argument("--input", help="colorful JSON file, or - for stdin")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    add_instance("verify-onn", "check the colorful identity on an instance", "colorful")
+    p = add_instance("rota-search", "search for disjoint nonzero transversals", "colorful")
     p.add_argument("--node-budget", type=_positive, default=DEFAULT_NODE_BUDGET,
                    help="cap on column picks tested")
-
-    p = add("verify-svrtan", "check the n! formula on a spinor instance")
-    p.add_argument("--input", help="spinor JSON file, or - for stdin")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-
-    p = add("svrtan-search", "search for a nonzero spinor assignment")
-    p.add_argument("--input", help="spinor JSON file, or - for stdin")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--incremental", action="store_true",
-                   help="accepted for compatibility; the search always tests point-value "
-                   "determinants, refreshing two columns per bit flip")
+    add_instance("verify-svrtan", "check the n! formula on a spinor instance", "spinor")
+    add_instance("svrtan-search", "search for a nonzero spinor assignment", "spinor")
 
     p = add("census", "count surviving identity-spinor choices; must be n!")
     p.add_argument("--n", type=_positive, required=True)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        shape=getattr(args, "shape", None),
-        input_path=getattr(args, "input", None),
-        seed=getattr(args, "seed", 0),
-        term_budget=args.term_budget,
-        node_budget=getattr(args, "node_budget", DEFAULT_NODE_BUDGET),
-        format=args.format,
-        family=getattr(args, "family", None),
-        cross_check=getattr(args, "cross_check", False),
-    )
-
-
-def run(cfg: RunConfig, out=None, err=None) -> int:
-    """Dispatch one configured command; returns the process exit code."""
+def run(args: argparse.Namespace, out=None, err=None) -> int:
+    """Dispatch one parsed command line; returns the process exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     started = time.perf_counter()
     try:
-        report, code = _HANDLERS[cfg.command](cfg)
+        report, code = _HANDLERS[args.command](args)
     except (InputError, DimensionError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -476,18 +413,20 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     except SelfCheckError as exc:
         print(f"internal check failed: {exc}", file=err)
         return 4
-    report.elapsed = time.perf_counter() - started
-    if cfg.format == "json":
+    elapsed = time.perf_counter() - started
+    if args.format == "json":
         print(json.dumps(report.to_doc(), indent=2), file=out)
     else:
         print(report.to_text(), file=out)
-    print(f"elapsed: {report.elapsed:.3f}s", file=err)
+    print(f"elapsed: {elapsed:.3f}s", file=err)
     return code
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact values of any size print in full
+        sys.set_int_max_str_digits(0)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ mappings, with no contraction.
 
 `SumReport` holds both sides of the factorization; the colorful and spinor
 checks fill the same report with their own invariants, l(n) and n!.  Every
-sum runs serially in one thread: ``threads=`` is accepted by every sum for
-a uniform signature and ignored.
+sum runs serially in one thread; `verify_identity` accepts ``threads=`` and
+ignores it.
 """
 
 from __future__ import annotations
@@ -203,7 +203,6 @@ def alternating_sum(
     f: MultilinearForm,
     A: MatrixTuple,
     *,
-    threads: int = 1,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> Fraction:
     """Exact value of the signed sum of f over all column permutations of A."""
@@ -213,7 +212,7 @@ def alternating_sum(
 
 
 def invariant_at_identity(
-    f: MultilinearForm, *, threads: int = 1, term_budget: int = DEFAULT_TERM_BUDGET
+    f: MultilinearForm, *, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> Fraction:
     """The scalar the alternating sum contributes beyond the determinants.
 

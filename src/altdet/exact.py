@@ -36,12 +36,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse the exact text format ("-3/7", "4") into a canonical Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"bad rational literal {text!r}: expected e.g. '4' or '-3/7'")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"bad rational literal {text!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # past the interpreter's limit on integer strings
+        raise InputError(f"rational literal of {len(text)} characters: {exc}") from None
+    if den == 0:
+        raise InputError(f"bad rational literal {text!r}: zero denominator")
+    return Fraction(num, den)
 
 
 def format_rational(value: Scalar) -> str:

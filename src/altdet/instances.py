@@ -63,22 +63,17 @@ def _entry(rng: SplitMix64) -> int:
     return rng.int_between(ENTRY_LO, ENTRY_HI)
 
 
-def _matrix(rng: SplitMix64, n: int) -> Matrix:
-    return Matrix.from_rows([[_entry(rng) for _ in range(n)] for _ in range(n)])
-
-
 def _nonsingular_matrix(rng: SplitMix64, n: int) -> Matrix:
     for _ in range(RESAMPLE_CAP):
-        m = _matrix(rng, n)
+        m = Matrix.from_rows([[_entry(rng) for _ in range(n)] for _ in range(n)])
         if det(m) != 0:
             return m
     raise BudgetError(f"no nonsingular {n}x{n} draw within {RESAMPLE_CAP} tries")
 
 
-def random_matrix_tuple(shape: Shape, rng: SplitMix64, *, nonsingular: bool = True) -> MatrixTuple:
-    """Integer matrices for each shape factor, resampled nonsingular by default."""
-    draw = _nonsingular_matrix if nonsingular else _matrix
-    return MatrixTuple(shape, tuple(draw(rng, n) for n in shape))
+def random_matrix_tuple(shape: Shape, rng: SplitMix64) -> MatrixTuple:
+    """Nonsingular integer matrices for each shape factor, each resampled independently."""
+    return MatrixTuple(shape, tuple(_nonsingular_matrix(rng, n) for n in shape))
 
 
 def random_colorful_instance(n: int, rng: SplitMix64) -> ColorfulInstance:
@@ -265,6 +260,8 @@ def load_instance(path: str) -> MatrixTuple | SpinorInstance:
                 text = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

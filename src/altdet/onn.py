@@ -173,7 +173,7 @@ def alon_tarsi_count(
     reduced squares, taken by the masked DFS over rows 1..n-1 with column 0
     pinned.  The count stands for L(n) squares, the number of order-n Latin
     squares; more than ``term_budget`` raises before any work starts.
-    ``threads`` is accepted and ignored, as by every sum.
+    ``threads`` is accepted and ignored: the count runs serially.
     """
     if n < 1:
         raise DimensionError("Latin squares need order >= 1")
@@ -290,7 +290,6 @@ def verify_onn(
     *,
     threads: int = 1,
     term_budget: int = DEFAULT_TERM_BUDGET,
-    latin_count: int | None = None,
 ) -> SumReport:
     """Check the colorful identity on one instance, exactly.
 
@@ -298,8 +297,8 @@ def verify_onn(
     all charged to ``term_budget``; by position symmetry it is 0 for odd
     n >= 3 and otherwise n! times the part with sigma_1 the identity,
     (n!)**(n-2) integer determinants.  The right side is l(n) times the
-    product of the matrix determinants.  Pass ``latin_count`` to reuse a
-    precomputed l(n).  ``threads`` is accepted and ignored, as by every sum.
+    product of the matrix determinants.  ``threads`` is accepted and
+    ignored: the check runs serially.
     """
     n = inst.n
     terms = factorial(n) ** n
@@ -310,9 +309,7 @@ def verify_onn(
     else:
         table, scale = _transversal_det_table(inst)
         lhs = Fraction(factorial(n) * _onn_partial(n, table), scale**n)
-    if latin_count is None:
-        latin_count = alon_tarsi_count(n, term_budget=term_budget)
-    return SumReport.of(lhs, latin_count, inst.determinants, terms)
+    return SumReport.of(lhs, alon_tarsi_count(n, term_budget=term_budget), inst.determinants, terms)
 
 
 @dataclass(frozen=True)

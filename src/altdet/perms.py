@@ -28,6 +28,13 @@ if TYPE_CHECKING:
     from .engine import MatrixTuple
 
 
+def _sign(m: tuple[int, ...]) -> int:
+    """(-1) to the number of inversions of the mapping."""
+    n = len(m)
+    inversions = sum(m[a] > m[b] for a in range(n) for b in range(a + 1, n))
+    return -1 if inversions % 2 else 1
+
+
 @dataclass(frozen=True)
 class SignedPerm:
     """A permutation of {0..n-1} as a mapping tuple, with its sign attached."""
@@ -41,16 +48,14 @@ class SignedPerm:
             raise DimensionError("permutations need at least one point")
         if sorted(self.mapping) != list(range(n)):
             raise DimensionError(f"not a permutation of 0..{n - 1}: {self.mapping!r}")
-        if self.parity not in (-1, 1):
-            raise DimensionError(f"parity must be +1 or -1, got {self.parity!r}")
+        if self.parity != _sign(self.mapping):
+            raise DimensionError(f"parity {self.parity!r} disagrees with the mapping {self.mapping!r}")
 
     @classmethod
     def from_mapping(cls, mapping: Iterable[int]) -> "SignedPerm":
         """Build from a mapping alone, counting inversions for the sign."""
         m = tuple(mapping)
-        n = len(m)
-        inversions = sum(m[a] > m[b] for a in range(n) for b in range(a + 1, n))
-        return cls(m, -1 if inversions % 2 else 1)
+        return cls(m, _sign(m))
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":

@@ -69,11 +69,9 @@ COMMANDS = [
     ["verify-svrtan", "--input", "singular_spinor.json"],
     ["svrtan-search", "--n", "2", "--seed", "1"],
     ["svrtan-search", "--n", "4", "--seed", "2"],
-    ["svrtan-search", "--n", "4", "--seed", "2", "--incremental"],
-    ["svrtan-search", "--n", "6", "--seed", "9", "--incremental"],
+    ["svrtan-search", "--n", "6", "--seed", "9"],
     ["svrtan-search", "--input", "readme_spinor.json"],
     ["svrtan-search", "--input", "singular_spinor.json"],
-    ["svrtan-search", "--input", "singular_spinor.json", "--incremental"],
     ["census", "--n", "1"],
     ["census", "--n", "3"],
     ["census", "--n", "5"],
@@ -92,10 +90,10 @@ def resolve(argv):
 
 def capture(argv):
     """(exit code, stdout) of one in-process run of the command line."""
-    from altdet.cli import build_parser, config_from_args, run
+    from altdet.cli import build_parser, run
 
     out = io.StringIO()
-    code = run(config_from_args(build_parser().parse_args(resolve(argv))), out=out, err=io.StringIO())
+    code = run(build_parser().parse_args(resolve(argv)), out=out, err=io.StringIO())
     return code, out.getvalue()
 
 

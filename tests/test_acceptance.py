@@ -33,7 +33,7 @@ from altdet import (
     verify_onn,
     verify_svrtan,
 )
-from altdet.cli import build_parser, config_from_args, run
+from altdet.cli import build_parser, run
 from altdet.perms import Shape
 
 GENERAL_SHAPES = (Shape.of(2, 2), Shape.of(3, 2), Shape.of(2, 2, 2), Shape.of(3, 3))
@@ -204,7 +204,7 @@ def test_criterion_9_cli_determinism(capfd):
                     argv + ["--format", fmt, "--threads", threads]
                 )
                 out = io.StringIO()
-                run(config_from_args(args), out=out, err=io.StringIO())
+                run(args, out=out, err=io.StringIO())
                 outputs.append(out.getvalue())
             if not outputs[0] == outputs[1] == outputs[2]:
                 failures.append((argv[0], fmt))

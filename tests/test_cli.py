@@ -1,12 +1,14 @@
 """End-to-end behavior of the command line: reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
+import sys
 from math import factorial
 
 import pytest
 
-from altdet.cli import build_parser, config_from_args, main, run
+from altdet.cli import build_parser, main, run
 from altdet.instances import (
     SplitMix64,
     canonical_json,
@@ -23,7 +25,7 @@ def invoke(argv):
     """Parse argv, run the command, return (exit_code, stdout, stderr)."""
     args = build_parser().parse_args(argv)
     out, err = io.StringIO(), io.StringIO()
-    code = run(config_from_args(args), out=out, err=err)
+    code = run(args, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -52,6 +54,38 @@ class TestExitCodes:
         code, _, err = invoke(["verify-onn", "--input", str(tmp_path / "gone.json")])
         assert code == 2
         assert "gone.json" in err
+
+    def test_undecodable_file_is_two(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = invoke(["verify-onn", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_undecodable_stdin_is_two(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
+        code, out, err = invoke(["verify-onn", "--input", "-"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: -: not UTF-8 text")
+
+    def test_undecodable_spinor_file_is_two(self, tmp_path):
+        # spinor subcommands read through the same instance loader as colorful ones
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "spinor", "n": 2, "note": "\xe9"}')
+        code, out, err = invoke(["verify-svrtan", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_dense_invariant_needs_shape(self):
+        code, out, err = invoke(["invariant", "--family", "dense"])
+        assert (code, out) == (2, "")
+        assert "family dense needs --shape" in err
+
+    @pytest.mark.parametrize("family", ["colorful", "spinor"])
+    def test_invariant_family_needs_n(self, family):
+        code, out, err = invoke(["invariant", "--family", family])
+        assert (code, out) == (2, "")
+        assert f"family {family} needs --n" in err
 
     def test_wrong_kind_is_two(self, tmp_path):
         path = tmp_path / "spin.json"
@@ -157,6 +191,26 @@ class TestReports:
         _, out, _ = invoke(["verify-onn", "--n", "2", "--seed", "9", "--format", "json"])
         assert json.loads(out)["seed"] == 9
 
+    def test_exact_values_of_any_size(self, tmp_path, capsys):
+        # 3000-digit entries: the sides have about 12000 digits, past the
+        # interpreter's default limit on converting integers to text
+        a = 10**2999
+        big = [[a, a + 1], [2 * a, a + 3]]
+        doc = {"kind": "colorful", "n": 2, "matrices": [[[str(v) for v in row] for row in big]] * 2}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        try:
+            code = main(["verify-onn", "--input", str(path)])
+            out = capsys.readouterr().out
+            d = big[0][0] * big[1][1] - big[0][1] * big[1][0]
+            expected = str(2 * d * d)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert f"\nlhs = {expected}\n" in out and out.endswith("verdict: PASS\n")
+
     def test_stdin_input(self, monkeypatch):
         inst = random_colorful_instance(2, SplitMix64(4))
         monkeypatch.setattr("sys.stdin", io.StringIO(canonical_json(instance_to_doc(inst))))
@@ -193,6 +247,17 @@ class TestCommands:
         assert code == 0
         assert "no independent route" in out
 
+    @pytest.mark.parametrize("argv, terms", [
+        (["--family", "dense", "--shape", "2,3"], factorial(2) * factorial(3)),
+        (["--family", "colorful", "--n", "3"], factorial(3) ** 3),
+        (["--family", "spinor", "--n", "4"], 2 ** (4 * 3 // 2)),
+    ], ids=["dense", "colorful", "spinor"])
+    def test_invariant_term_count(self, argv, terms):
+        """The count read off the form's shape matches each family's closed form."""
+        code, out, _ = invoke(["invariant", *argv, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["term_count"] == terms
+
     def test_alon_tarsi_cross_check(self):
         code, out, _ = invoke(["alon-tarsi", "--n", "3", "--cross-check", "--format", "json"])
         doc = json.loads(out)
@@ -220,13 +285,6 @@ class TestCommands:
         doc = json.loads(out)
         assert len(doc["witness"]["picks"]) == 3
         assert set(doc["witness"]["picks"]) <= {"p1", "p2"}
-
-    def test_svrtan_search_incremental_same_witness(self):
-        _, plain, _ = invoke(["svrtan-search", "--n", "4", "--seed", "2", "--format", "json"])
-        _, inc, _ = invoke(
-            ["svrtan-search", "--n", "4", "--seed", "2", "--incremental", "--format", "json"]
-        )
-        assert json.loads(plain)["witness"] == json.loads(inc)["witness"]
 
     @pytest.mark.parametrize("n, note", [
         (6, "nonsingular input and l(6) = 199065600 != 0: success guaranteed"),
@@ -266,3 +324,26 @@ class TestDeterminism:
         ):
             base = invoke(argv + ["--threads", "1"])[1]
             assert invoke(argv + ["--threads", "8"])[1] == base
+
+
+OPTIONS = {
+    "verify-general": {"--input", "--shape", "--seed"},
+    "invariant": {"--family", "--n", "--shape", "--seed"},
+    "alon-tarsi": {"--n", "--cross-check"},
+    "verify-onn": {"--input", "--n", "--seed"},
+    "rota-search": {"--input", "--n", "--seed", "--node-budget"},
+    "verify-svrtan": {"--input", "--n", "--seed"},
+    "svrtan-search": {"--input", "--n", "--seed"},
+    "census": {"--n"},
+}
+COMMON_OPTIONS = {"-h", "--help", "--threads", "--format", "--term-budget"}
+
+
+def test_every_option_is_listed():
+    """Each subcommand takes exactly the options in the table; a new flag must be added here."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        for name, parser in sub.choices.items()
+    }
+    assert found == {name: opts | COMMON_OPTIONS for name, opts in OPTIONS.items()}

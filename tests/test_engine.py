@@ -216,14 +216,6 @@ class TestAlternatingSum:
         with pytest.raises(BudgetError):
             alternating_sum(f, MatrixTuple.identity(Shape.of(3)), term_budget=5)
 
-    @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_thread_counts_agree(self, threads):
-        rng = random.Random(25)
-        shape = Shape.of(3, 2)
-        f = random_dense_form(shape, rng)
-        A = random_tuple(shape, rng)
-        assert alternating_sum(f, A, threads=threads) == alternating_sum(f, A)
-
 
 class TestInvariant:
     def test_product_of_first_entries(self):
@@ -300,45 +292,31 @@ class TestFastRoutesMatchLiteral:
             assert value == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.sampled_from(SUM_SHAPES),
-        st.integers(0, 2**32),
-        st.booleans(),
-        st.booleans(),
-        st.integers(1, 4),
-    )
-    def test_alternating_sum_matches_brute(self, shape, seed, rational, zero_column, threads):
+    @given(st.sampled_from(SUM_SHAPES), st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_alternating_sum_matches_brute(self, shape, seed, rational, zero_column):
         f, A = seeded_dense_case(shape, seed, rational, zero_column)
         expected = brute_alternating_sum(
             lambda mats: literal_value(f.coeffs, mats), A.matrices, literal_act
         )
-        assert alternating_sum(f, A, threads=threads) == expected
+        assert alternating_sum(f, A) == expected
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(EVAL_SHAPES), st.integers(0, 2**32), st.booleans(), st.integers(1, 4))
-    def test_direct_invariant_matches_generic_sum(self, shape, seed, rational, threads):
+    @given(st.sampled_from(EVAL_SHAPES), st.integers(0, 2**32), st.booleans())
+    def test_direct_invariant_matches_generic_sum(self, shape, seed, rational):
         f, _ = seeded_dense_case(shape, seed, rational, False)
         generic = MultilinearForm(shape, f, "dense form through the fallback")
-        assert invariant_at_identity(f, threads=threads) == invariant_at_identity(
-            generic, threads=threads
-        )
+        assert invariant_at_identity(f) == invariant_at_identity(generic)
 
     @settings(max_examples=20, deadline=None)
-    @given(
-        st.sampled_from(SUM_SHAPES),
-        st.integers(0, 2**32),
-        st.booleans(),
-        st.booleans(),
-        st.integers(1, 4),
-    )
-    def test_closure_form_through_fallback(self, shape, seed, rational, zero_column, threads):
+    @given(st.sampled_from(SUM_SHAPES), st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_closure_form_through_fallback(self, shape, seed, rational, zero_column):
         f, A = seeded_dense_case(shape, seed, rational, zero_column)
         closure = MultilinearForm(
             shape, lambda B: literal_value(f.coeffs, B.matrices), "closure"
         )
         assert closure(A) == f(A)
-        assert alternating_sum(closure, A, threads=threads) == alternating_sum(f, A)
-        assert invariant_at_identity(closure, threads=threads) == invariant_at_identity(f)
+        assert alternating_sum(closure, A) == alternating_sum(f, A)
+        assert invariant_at_identity(closure) == invariant_at_identity(f)
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 """Scalar parsing, matrices, determinants and polynomial arithmetic."""
 
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +41,18 @@ class TestRationalText:
         for bad in ["", "1.5", "3 / 7", "a", "1/-2", "--3", "1/0", None, 7]:
             with pytest.raises(InputError):
                 parse_rational(bad)
+
+    def test_literal_past_the_integer_string_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer strings")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text in ["7" * 4301, "1/" + "3" * 4301]:
+                with pytest.raises(InputError):
+                    parse_rational(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_format_is_canonical(self):
         assert format_rational(Fraction(6, 4)) == "3/2"

@@ -83,11 +83,6 @@ class TestGenerators:
             A = random_matrix_tuple(Shape.of(3, 3), SplitMix64(seed))
             assert A.is_nonsingular
 
-    def test_matrix_tuple_unchecked_keeps_raw_draws(self):
-        # same stream prefix as the checked draw until a resample happens
-        A = random_matrix_tuple(Shape.of(2, 2), SplitMix64(17), nonsingular=False)
-        assert A.shape == Shape.of(2, 2)
-
     def test_colorful_instance(self):
         inst = random_colorful_instance(3, SplitMix64(6))
         assert inst.n == 3

@@ -234,10 +234,6 @@ class TestVerifyOnn:
         inst = random_colorful(3, random.Random(66))
         assert inst.determinants is inst.determinants
 
-    def test_precomputed_latin_count_reused(self):
-        inst = ColorfulInstance.of([Matrix.identity(2), Matrix.identity(2)])
-        assert verify_onn(inst, latin_count=2).verdict
-
 
 class TestRotaSearch:
     def test_order_1(self):

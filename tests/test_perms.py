@@ -41,6 +41,18 @@ class TestSignedPerm:
         with pytest.raises(DimensionError):
             SignedPerm((0, 1), 2)
 
+    def test_rejects_a_parity_the_mapping_disagrees_with(self):
+        with pytest.raises(DimensionError):
+            SignedPerm((1, 0), 1)
+        with pytest.raises(DimensionError):
+            SignedPerm((1, 2, 0), -1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_wrong_parity_is_rejected(self, n):
+        for mapping in all_mappings(n):
+            with pytest.raises(DimensionError):
+                SignedPerm(mapping, -inversion_sign(mapping))
+
     def test_inverse(self):
         p = SignedPerm.from_mapping((2, 0, 1))
         assert p.inverse.mapping == (1, 2, 0)
