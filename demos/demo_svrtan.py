@@ -12,6 +12,7 @@ product of the edge determinants.
 from math import factorial
 
 from altdet import (
+    Choice,
     SpinorInstance,
     SplitMix64,
     as_engine_instance,
@@ -23,20 +24,20 @@ from altdet import (
     verify_identity,
     verify_svrtan,
 )
-from altdet.svrtan import enumerate_choices
 
 n = 3
 inst = SpinorInstance.identity(n)  # every edge carries the basis (1, t)
+routings = [Choice(bits, inst.edge_count) for bits in range(1 << inst.edge_count)]
 
 # with identity bases the three routings that survive are exactly the
 # transitive tournaments: out-degrees 0, 1, 2 in some order
 print("all routings at n=3 with the (1, t) bases:")
-for c in enumerate_choices(inst.edge_count):
+for c in routings:
     polys = choice_polys(inst, c)
     shown = ", ".join(str(p) for p in polys)
     print(f"  bits {c.bits:03b}  sign {c.sign:+d}  vertex polys [{shown}]  det {choice_det(inst, c)}")
 
-total = sum(c.sign * choice_det(inst, c) for c in enumerate_choices(inst.edge_count))
+total = sum(c.sign * choice_det(inst, c) for c in routings)
 print("signed total:", total, "=", f"{n}!")
 assert total == factorial(n)
 

@@ -423,10 +423,16 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact values of any size print in full
+    # exact values of any size parse and print in full during the run, and
+    # the interpreter's integer-string limit is back as it was afterwards
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    return run(build_parser().parse_args(argv))
+    try:
+        return run(build_parser().parse_args(argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -46,9 +46,26 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+# str() of an int below this is allowed under any integer-string limit (>= 640)
+_STR_SAFE = 10**600
+
+
+def _decimal(x: int) -> str:
+    """Decimal text of an int of any size, converted in halves below the limit."""
+    if x < 0:
+        return "-" + _decimal(-x)
+    if x < _STR_SAFE:
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits: log10(2) / 2 ~ 3 / 20
+    high, low = divmod(x, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(value: Scalar) -> str:
-    """Canonical text for a scalar; round-trips exactly through parse_rational."""
-    return str(Fraction(value))
+    """Canonical text for a scalar of any size; round-trips exactly through parse_rational."""
+    value = Fraction(value)
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 @dataclass(frozen=True)

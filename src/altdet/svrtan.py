@@ -24,10 +24,30 @@ p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the coefficient
 matrix, so each determinant gains the factor prod over a < b of (b - a).
 Scaling each basis element by the lcm of its denominators makes every
 value an integer and multiplies every term by the same product of scales,
-since each choice uses both elements of every edge.  Choices run in
-reflected-binary order, so a step rebuilds only the two value columns of
-the flipped edge; the signed integer total is divided once.  choice_polys
-and choice_det are the literal route.
+since each choice uses both elements of every edge.
+
+The sum never takes a per-choice determinant.  Expanding each point-value
+determinant by Leibniz over the assignments pi of points to vertices and
+swapping the two sums, an edge's bit touches only that edge's two factors,
+so for a fixed pi the signed sum over choices is a product over edges:
+
+    sum over pi of sgn(pi) * prod over i < j of F_ij(pi(i), pi(j)),
+    F_ij(a, b) = v1(a) * v2(b) - v2(a) * v1(b),
+
+with v1, v2 the scaled values of the edge's (p1, p2).  F comes from those
+values, not as det(p1, p2) * (b - a): that factorization is what proves the
+n! formula, and the check must not assume it.  The walk places vertices in
+order, multiplies in each edge's F when its second end is placed, drops
+zero prefixes, and divides the total once.  It takes at most n! * C(n, 2)
+integer products, not 2^C(n,2) determinants; the budget still counts the
+choices.
+
+The census and the search need each term, so they walk the choices in
+reflected-binary order and take one integer determinant per choice.  A
+vertex's value column depends only on its n - 1 incident bits, so each
+call keeps a table of columns per vertex, keyed by those bits, and a flip
+looks up the two columns it touches.  choice_polys and choice_det are the
+literal route.
 """
 
 from __future__ import annotations
@@ -141,12 +161,6 @@ class Choice:
         return Choice(self.bits ^ (1 << idx), self.edge_count)
 
 
-def enumerate_choices(edge_count: int) -> Iterator[Choice]:
-    """Choices in reflected-binary order: consecutive ones differ in one bit."""
-    for t in range(1 << edge_count):
-        yield Choice(t ^ (t >> 1), edge_count)
-
-
 def choice_polys(inst: SpinorInstance, c: Choice) -> tuple[Polynomial, ...]:
     """The n vertex polynomials of a choice, each of degree < n, in one edge pass."""
     if c.edge_count != inst.edge_count:
@@ -186,32 +200,81 @@ def _point_values(inst: SpinorInstance) -> tuple[list, int]:
     return values, divisor
 
 
+def _assignment_sum(n: int, values) -> int:
+    """Sum over point assignments pi of sgn(pi) * prod over i < j of F_ij(pi(i), pi(j)).
+
+    F_ij(a, b) = v1(a) * v2(b) - v2(a) * v1(b) for the edge's value columns
+    (v1, v2); this equals the signed sum of the point-value determinants
+    over all choices, for any integer values.  Vertices are placed in
+    order; a point's rank among the free points is its count of inversions
+    against the later vertices, which gives the sign.
+    """
+    # cross[j][i][a][b] = F_ij(a, b); edges arrive with i ascending for each j
+    cross = [[] for _ in range(n)]
+    for (_, j), (v1, v2) in zip(edge_pairs(n), values):
+        cross[j].append([[a1 * b2 - a2 * b1 for b1, b2 in zip(v1, v2)] for a1, a2 in zip(v1, v2)])
+    points = []
+    last = n - 1
+
+    def place(k: int, prefix: int, free: list[int]) -> int:
+        rows = [table[a] for table, a in zip(cross[k], points)]
+        if k == last:
+            b = free[0]
+            for row in rows:
+                prefix *= row[b]
+            return prefix
+        total = 0
+        for rank, b in enumerate(free):
+            term = prefix
+            for row in rows:
+                term *= row[b]
+                if not term:
+                    break
+            if term:
+                points.append(b)
+                sub = place(k + 1, term, free[:rank] + free[rank + 1:])
+                points.pop()
+                total += -sub if rank & 1 else sub
+        return total
+
+    return place(0, 1, list(range(n)))
+
+
 def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
     """(bits, point-value determinant) for every choice, in reflected-binary order.
 
-    Each step flips one edge and rebuilds only the value columns of its two
-    ends.
+    Each step flips one edge and looks up the value columns of its two
+    ends, building each (vertex, incident bits) column once per call.
     """
     pairs = edge_pairs(n)
-    incident = [[] for _ in range(n)]  # (edge, values if bit 0, values if bit 1)
-    for idx, (i, j) in enumerate(pairs):
-        v1, v2 = values[idx]
-        incident[i].append((idx, v1, v2))
-        incident[j].append((idx, v2, v1))
+    incident = [[] for _ in range(n)]  # (values if bit 0, values if bit 1)
+    flips = []  # per edge: each end and its bit in that end's column key
+    for (i, j), (v1, v2) in zip(pairs, values):
+        flips.append((i, 1 << len(incident[i]), j, 1 << len(incident[j])))
+        incident[i].append((v1, v2))
+        incident[j].append((v2, v1))
+    tables = [[None] * (1 << (n - 1)) for _ in range(n)]
 
-    def column(v: int, bits: int) -> list[int]:
-        picked = [if1 if bits >> idx & 1 else if0 for idx, if0, if1 in incident[v]]
-        return [prod(at_x) for at_x in zip(*picked)] if picked else [1]  # n = 1: no edges
+    def column(v: int, key: int) -> list[int]:
+        col = tables[v][key]
+        if col is None:
+            picked = [pair[key >> pos & 1] for pos, pair in enumerate(incident[v])]
+            # n = 1: no edges, one constant column
+            col = tables[v][key] = [prod(at_x) for at_x in zip(*picked)] if picked else [1]
+        return col
 
     bits = 0
-    cols = [column(v, bits) for v in range(n)]
+    keys = [0] * n
+    cols = [column(v, 0) for v in range(n)]
     for t in range(1 << len(pairs)):
         if t:
             idx = (t & -t).bit_length() - 1
             bits ^= 1 << idx
-            i, j = pairs[idx]
-            cols[i] = column(i, bits)
-            cols[j] = column(j, bits)
+            i, at_i, j, at_j = flips[idx]
+            keys[i] ^= at_i
+            keys[j] ^= at_j
+            cols[i] = column(i, keys[i])
+            cols[j] = column(j, keys[j])
         # columns passed as rows: the transpose has the same determinant
         yield bits, _int_det([col[:] for col in cols])
 
@@ -243,17 +306,16 @@ def verify_svrtan(
     """Check the n! formula on one instance, exactly.
 
     The report's invariant is n! and its determinants are the edge
-    determinants.  The point-value determinants are summed with their signs
-    and the total is divided once.  ``threads`` is accepted and ignored, as
+    determinants.  The signed choice sum is taken over point assignments
+    (see the module notes) and divided once; the budget counts the
+    2^C(n,2) choices it covers.  ``threads`` is accepted and ignored, as
     by every sum.
     """
     terms = 1 << inst.edge_count
     if terms > term_budget:
         raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
     values, divisor = _point_values(inst)
-    total = 0
-    for bits, d in _point_dets(inst.n, values):
-        total += -d if bits.bit_count() & 1 else d
+    total = _assignment_sum(inst.n, values)
     return SumReport.of(Fraction(total, divisor), factorial(inst.n), inst.edge_dets, terms)
 
 
@@ -289,7 +351,7 @@ def svrtan_search(
 
     None only comes back for singular instances; otherwise the formula
     guarantees a nonzero term.  The walk tests point-value determinants,
-    which vanish exactly when the coefficient ones do, refreshing just the
+    which vanish exactly when the coefficient ones do, looking up just the
     two value columns an edge flip touches; tests check it against a
     literal choice_det loop.  ``incremental`` is accepted and ignored.
     """

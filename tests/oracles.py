@@ -43,6 +43,18 @@ def invert(mapping):
     return tuple(out)
 
 
+def enumerate_choices(width):
+    """Every width-bit word in reflected-binary order, built by reflection.
+
+    The order for width k is the order for width k - 1 followed by the same
+    words in reverse with bit k - 1 set, so neighbours differ in one bit.
+    """
+    words = [0]
+    for bit in range(width):
+        words += [w | 1 << bit for w in reversed(words)]
+    return words
+
+
 def all_mappings(n):
     """Every permutation of 0..n-1 as a tuple, in lexicographic order."""
     return list(permutations(range(n)))

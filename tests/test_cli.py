@@ -199,17 +199,36 @@ class TestReports:
         doc = {"kind": "colorful", "n": 2, "matrices": [[[str(v) for v in row] for row in big]] * 2}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
+        code = main(["verify-onn", "--input", str(path)])
+        out = capsys.readouterr().out
+        d = big[0][0] * big[1][1] - big[0][1] * big[1][0]
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         try:
-            code = main(["verify-onn", "--input", str(path)])
-            out = capsys.readouterr().out
-            d = big[0][0] * big[1][1] - big[0][1] * big[1][0]
+            if limit is not None:
+                sys.set_int_max_str_digits(0)  # main leaves the limit as it found it
             expected = str(2 * d * d)
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
         assert code == 0
         assert f"\nlhs = {expected}\n" in out and out.endswith("verdict: PASS\n")
+
+    @pytest.mark.parametrize("argv", [["census", "--n", "3"], ["census"]])
+    def test_main_restores_the_integer_string_limit(self, argv, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer strings")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            try:
+                main(argv)
+            except SystemExit:  # argparse rejects the missing --n
+                pass
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        capsys.readouterr()
+        assert after == 5000
 
     def test_stdin_input(self, monkeypatch):
         inst = random_colorful_instance(2, SplitMix64(4))

@@ -54,6 +54,20 @@ class TestRationalText:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_format_past_the_integer_string_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer strings")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the lowest limit the interpreter allows
+        try:
+            big = format_rational(10**5000)
+            ratio = format_rational(Fraction(-(3**9000), 7**5000))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert big == "1" + "0" * 5000
+        assert parse_rational(ratio) == Fraction(-(3**9000), 7**5000)
+        assert ratio.startswith("-") and ratio.count("/") == 1
+
     def test_format_is_canonical(self):
         assert format_rational(Fraction(6, 4)) == "3/2"
         assert format_rational(Fraction(-6, 4)) == "-3/2"

@@ -2,17 +2,18 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altdet.engine import invariant_at_identity, verify_identity
+from altdet.engine import DEFAULT_TERM_BUDGET, invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError
 from altdet.exact import Polynomial, poly_det, poly_mul
 from altdet.perms import act, enumerate_product
 from altdet.svrtan import (
+    _assignment_sum,
     _point_dets,
     _point_values,
     Choice,
@@ -22,12 +23,12 @@ from altdet.svrtan import (
     choice_polys,
     edge_index,
     edge_pairs,
-    enumerate_choices,
     nonzero_term_census,
     out_degrees,
     svrtan_search,
     verify_svrtan,
 )
+from oracles import enumerate_choices, laplace_det
 
 
 def poly(c0, c1):
@@ -64,9 +65,14 @@ def singular_spinor(n, rng):
     return SpinorInstance(n, (flat,) + inst.bases[1:])
 
 
+def choices(edge_count):
+    """Every choice in the literal reflected-binary order."""
+    return [Choice(bits, edge_count) for bits in enumerate_choices(edge_count)]
+
+
 def literal_first_nonzero(inst):
     """First choice, in reflected-binary order, with a nonzero coefficient determinant."""
-    for c in enumerate_choices(inst.edge_count):
+    for c in choices(inst.edge_count):
         if choice_det(inst, c) != 0:
             return c
     return None
@@ -75,18 +81,44 @@ def literal_first_nonzero(inst):
 def literal_sum(inst):
     """Signed choice sum by the polynomial route."""
     total = Fraction(0)
-    for c in enumerate_choices(inst.edge_count):
+    for c in choices(inst.edge_count):
         total += c.sign * choice_det(inst, c)
     return total
+
+
+def signed_walk(n, values):
+    """Signed total of the walker's point-value determinants."""
+    return sum(-d if bits.bit_count() % 2 else d for bits, d in _point_dets(n, values))
 
 
 def walker_sum(inst):
     """The same sum by the point-value walker, divided once."""
     values, divisor = _point_values(inst)
-    total = 0
-    for bits, d in _point_dets(inst.n, values):
-        total += -d if bits.bit_count() % 2 else d
-    return Fraction(total, divisor)
+    return Fraction(signed_walk(inst.n, values), divisor)
+
+
+def literal_point_dets(n, values):
+    """(bits, det) per choice in reflected-binary order, every column built anew."""
+    out = []
+    for bits in enumerate_choices(n * (n - 1) // 2):
+        cols = [[1] * n for _ in range(n)]
+        for idx, (i, j) in enumerate(edge_pairs(n)):
+            v1, v2 = values[idx]
+            to_i, to_j = (v2, v1) if bits >> idx & 1 else (v1, v2)
+            for x in range(n):
+                cols[i][x] *= to_i[x]
+                cols[j][x] *= to_j[x]
+        out.append((bits, laplace_det(cols)))
+    return out
+
+
+@st.composite
+def value_tables(draw, max_n):
+    """Any integer values per edge end and point; they need not come from degree-<=1 polynomials."""
+    n = draw(st.integers(1, max_n))
+    column = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    edges = n * (n - 1) // 2
+    return n, draw(st.lists(st.tuples(column, column), min_size=edges, max_size=edges))
 
 
 class TestEdgeOrder:
@@ -137,7 +169,7 @@ class TestChoice:
         assert c.bits == 0 and c.sign == 1 and c.edge_count == 6
 
     def test_sign_is_popcount_parity(self):
-        for c in enumerate_choices(4):
+        for c in choices(4):
             assert c.sign == (-1) ** bin(c.bits).count("1")
 
     def test_flip(self):
@@ -149,7 +181,7 @@ class TestChoice:
             Choice(4, 2)
 
     def test_gray_order_flips_one_bit(self):
-        seen = list(enumerate_choices(5))
+        seen = choices(5)
         assert len(seen) == 32 and len({c.bits for c in seen}) == 32
         for a, b in zip(seen, seen[1:]):
             assert bin(a.bits ^ b.bits).count("1") == 1
@@ -173,7 +205,7 @@ class TestChoicePolys:
     def test_n3_cyclic_orientation_vanishes(self):
         inst = SpinorInstance.identity(3)
         # t to 2 on {0,1}, t to 0 on {0,2}... a 3-cycle needs degrees (1,1,1)
-        for c in enumerate_choices(3):
+        for c in choices(3):
             if sorted(out_degrees(c, 3)) == [1, 1, 1]:
                 assert choice_det(inst, c) == 0
 
@@ -194,33 +226,33 @@ class TestChoicePolys:
 
 
 class TestPointWalk:
-    """The point-value walker against the literal polynomial route."""
+    """The point-value walker and verify_svrtan's regrouped sum against the literal route."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_integer_instances(self, n):
         rng = random.Random(200 + n)
         for _ in range(4 if n < 5 else 2):
             inst = random_spinor(n, rng, nonsingular=False)
-            assert walker_sum(inst) == literal_sum(inst)
+            assert walker_sum(inst) == verify_svrtan(inst).lhs == literal_sum(inst)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rational_instances(self, n):
         rng = random.Random(210 + n)
         for _ in range(4):
             inst = rational_spinor(n, rng)
-            assert walker_sum(inst) == literal_sum(inst)
+            assert walker_sum(inst) == verify_svrtan(inst).lhs == literal_sum(inst)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_singular_edge(self, n):
         inst = singular_spinor(n, random.Random(220 + n))
         assert not inst.is_nonsingular
-        assert walker_sum(inst) == literal_sum(inst) == 0
+        assert walker_sum(inst) == verify_svrtan(inst).lhs == literal_sum(inst) == 0
 
     def test_each_term_is_scaled_choice_det(self):
         inst = rational_spinor(4, random.Random(230))
         values, divisor = _point_values(inst)
         walked = list(_point_dets(4, values))
-        assert [bits for bits, _ in walked] == [c.bits for c in enumerate_choices(6)]
+        assert [bits for bits, _ in walked] == enumerate_choices(6)
         for bits, d in walked:
             assert Fraction(d, divisor) == choice_det(inst, Choice(bits, 6))
 
@@ -229,6 +261,43 @@ class TestPointWalk:
         rng = random.Random(240)
         for inst in (random_spinor(4, rng), rational_spinor(4, rng)):
             assert verify_svrtan(inst, threads=threads).lhs == literal_sum(inst)
+
+
+class TestColumnTable:
+    """The walker's per-vertex column table against columns built per choice."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(value_tables(4))
+    def test_matches_literal_columns(self, table):
+        n, values = table
+        assert list(_point_dets(n, values)) == literal_point_dets(n, values)
+
+    def test_identity_census_walk(self):
+        values, _ = _point_values(SpinorInstance.identity(4))
+        assert list(_point_dets(4, values)) == literal_point_dets(4, values)
+
+
+class TestRegroupedSum:
+    """The sum over point assignments against the walker, and at orders the walker cannot reach."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(value_tables(5))
+    def test_matches_walker_on_arbitrary_values(self, table):
+        n, values = table
+        assert _assignment_sum(n, values) == signed_walk(n, values)
+
+    @pytest.mark.parametrize(
+        "n,budget", [(6, DEFAULT_TERM_BUDGET), (7, DEFAULT_TERM_BUDGET), (8, 2**28)]
+    )
+    def test_large_orders(self, n, budget):
+        rng = random.Random(280 + n)
+        for inst in (random_spinor(n, rng), rational_spinor(n, rng)):
+            report = verify_svrtan(inst, term_budget=budget)
+            assert report.lhs == report.rhs == factorial(n) * prod(inst.edge_dets)
+
+    def test_order_8_needs_an_explicit_budget(self):
+        with pytest.raises(BudgetError):
+            verify_svrtan(SpinorInstance.identity(8))
 
 
 class TestVerifySvrtan:
@@ -291,7 +360,7 @@ class TestCensus:
 
     def test_survivors_are_transitive(self):
         inst = SpinorInstance.identity(4)
-        for c in enumerate_choices(6):
+        for c in choices(6):
             if choice_det(inst, c) != 0:
                 assert sorted(out_degrees(c, 4)) == [0, 1, 2, 3]
 
