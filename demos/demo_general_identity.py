@@ -36,9 +36,9 @@ for i, m in enumerate(A.matrices):
 
 # the group is tiny at this shape: 2! * 2! = 4 signed column permutations
 print("\nsigned permutation tuples:")
-for sigma in enumerate_product(shape):
-    parts = " x ".join(str(p.mapping) for p in sigma.parts)
-    print(f"  sign {sigma.parity:+d}  {parts}")
+for parity, mappings in enumerate_product(shape):
+    parts = " x ".join(str(m) for m in mappings)
+    print(f"  sign {parity:+d}  {parts}")
 
 lhs = alternating_sum(f, A)
 inv = invariant_at_identity(f)

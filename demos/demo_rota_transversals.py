@@ -25,14 +25,14 @@ print("terms in the sum                   :", report.term_count)
 # exist; the backtracking search recovers one explicitly
 sel = rota_search(inst)
 assert sel is not None
-print("\nselection found; transversal j takes column sigma_i(j) from matrix i")
-for i, part in enumerate(sel.sigma.parts):
-    print(f"  sigma_{i} = {part.mapping}")
+print("\nselection found; transversal j takes column maps[i][j] from matrix i")
+for i, cols in enumerate(sel.maps):
+    print(f"  maps[{i}] = {cols}")
 
 for j, t in enumerate(sel.transversals(inst)):
     print(f"transversal {j}: det = {det(t)}")
 
 # each matrix contributes each of its columns exactly once across the family
-for i, part in enumerate(sel.sigma.parts):
-    assert sorted(part.mapping) == list(range(n))
+for cols in sel.maps:
+    assert sorted(cols) == list(range(n))
 print("\nevery column of every matrix used exactly once")

@@ -51,9 +51,9 @@ from .onn import (
 from .perms import Shape
 from .svrtan import (
     SpinorInstance,
-    as_engine_instance,
     choice_det,
     nonzero_term_census,
+    spinor_form,
     svrtan_search,
     verify_svrtan,
 )
@@ -212,7 +212,7 @@ def cmd_invariant(args: argparse.Namespace) -> tuple[Report, int]:
         if family == "colorful":
             form = colorful_form(n)
         else:
-            form, _ = as_engine_instance(SpinorInstance.identity(n))
+            form = spinor_form(n)
         inputs = {"family": family, "n": n}
     lhs = invariant_at_identity(form, term_budget=args.term_budget)
     if family == "dense":
@@ -268,7 +268,7 @@ def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
     if sel is not None:
         if not sel.is_valid_for(inst):
             raise SelfCheckError("search returned a selection with a zero transversal")
-        maps = [[v + 1 for v in part.mapping] for part in sel.sigma.parts]
+        maps = [[v + 1 for v in cols] for cols in sel.maps]
         witness = {"kind": "selection", "maps": maps}
     return _search_report(args, inst, seed, witness, guaranteed, notes)
 

@@ -3,8 +3,8 @@
 The central quantity is sum over sigma of sgn(sigma) * f(sigma^-1 . A),
 where sigma runs over the product of the column-permutation groups of the
 matrices.  Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A,
-so each term is computed literally: the sum walks the raw
-(parity, mappings) of the group and hands the form, by index, the columns
+so each term is computed literally: the sum walks the (parity, mappings)
+pairs of `perms.enumerate_product` and hands the form, by index, the columns
 of A it reads, taken from column lists built once per call.  No permuted
 matrix is built; signed values are summed as they come (plain ints for
 integer inputs) and one Fraction is made per sum.
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
 from .exact import Matrix, Scalar, det
-from .perms import Shape, _walk_product
+from .perms import Shape, enumerate_product
 
 DEFAULT_TERM_BUDGET = 10**8
 
@@ -187,12 +187,17 @@ class DenseTensorForm(MultilinearForm):
         return term
 
 
-def _signed_sum(term: Term, shape: Shape, term_budget: int) -> Fraction:
+def _signed_sum(shape: Shape, term_budget: int, make_term: Callable[..., Term], *args) -> Fraction:
+    """The signed sum of ``make_term(*args)`` over the product group of ``shape``.
+
+    The budget is checked before the term, and whatever it reads, is built.
+    """
     terms = shape.term_count
     if terms > term_budget:
         raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
+    term = make_term(*args)
     total: Scalar = 0
-    for parity, maps in _walk_product(shape):
+    for parity, maps in enumerate_product(shape):
         value = term(maps)
         if value:
             total += value if parity > 0 else -value
@@ -208,7 +213,7 @@ def alternating_sum(
     """Exact value of the signed sum of f over all column permutations of A."""
     if f.shape != A.shape:
         raise DimensionError(f"form shape {f.shape.sizes} != tuple shape {A.shape.sizes}")
-    return _signed_sum(f.column_term(A), A.shape, term_budget)
+    return _signed_sum(A.shape, term_budget, f.column_term, A)
 
 
 def invariant_at_identity(
@@ -219,7 +224,7 @@ def invariant_at_identity(
     Evaluating the sum at the all-identity tuple isolates it, since every
     determinant is then 1.
     """
-    return _signed_sum(f.identity_term(), f.shape, term_budget)
+    return _signed_sum(f.shape, term_budget, f.identity_term)
 
 
 @dataclass(frozen=True)

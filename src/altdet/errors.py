@@ -21,12 +21,21 @@ class DimensionError(AltdetError, ValueError):
     """Shapes, sizes or ambient spaces do not line up."""
 
 
+def _figure(value: int) -> str:
+    """The value in full up to 18 digits, else by its bit length.
+
+    A count of any size prints in a short line and needs no int-to-string
+    conversion past the interpreter's digit limit.
+    """
+    return str(value) if value < 10**18 else f"a {value.bit_length()}-bit number"
+
+
 class BudgetError(AltdetError, RuntimeError):
     """An enumeration or search exceeded its configured budget."""
 
     def __init__(self, message: str, count: int | None = None, budget: int | None = None):
         if count is not None and budget is not None:
-            message = f"{message} ({count} > budget {budget})"
+            message = f"{message} ({_figure(count)} > budget {_figure(budget)})"
         super().__init__(message)
         self.count = count
         self.budget = budget

@@ -29,12 +29,12 @@ from .errors import DimensionError, InputError
 
 Scalar = Union[int, Fraction]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the exact text format ("-3/7", "4") into a canonical Fraction."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"bad rational literal {text!r}: expected e.g. '4' or '-3/7'")
     num, _, den = text.partition("/")
     try:

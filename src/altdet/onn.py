@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
 from .errors import BudgetError, DimensionError, InputError
 from .exact import Matrix, _int_det, det, int_scaled
-from .perms import Shape, SignedPerm, SignedPermTuple, _pool
+from .perms import Shape, _pool, _sign
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
@@ -77,18 +77,12 @@ class LatinSquare:
     def n(self) -> int:
         return len(self.grid)
 
-    @property
-    def transpose(self) -> "LatinSquare":
-        return LatinSquare(tuple(zip(*self.grid)))
-
 
 def latin_sign(square: LatinSquare) -> int:
     """Product of the signs of all n rows and all n columns as permutations."""
     sign = 1
-    for row in square.grid:
-        sign *= SignedPerm.from_mapping(row).parity
-    for col in zip(*square.grid):
-        sign *= SignedPerm.from_mapping(col).parity
+    for line in square.grid + tuple(zip(*square.grid)):
+        sign *= _sign(line)
     return sign
 
 
@@ -314,20 +308,20 @@ def verify_onn(
 
 @dataclass(frozen=True)
 class TransversalSelection:
-    """A full selection: sigma_i(j) names the column of matrix i used at j."""
+    """A full selection: maps[i][j] names the column of matrix i used at position j."""
 
-    sigma: SignedPermTuple
+    maps: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
-        return self.sigma.parts[0].n
+        return len(self.maps)
 
     def transversals(self, inst: ColorfulInstance) -> list[Matrix]:
-        """The n assembled matrices; the j-th uses column sigma_i(j) of matrix i."""
-        if inst.n != self.n or len(self.sigma.parts) != inst.n:
+        """The n assembled matrices; the j-th uses column maps[i][j] of matrix i."""
+        if inst.n != self.n or any(len(m) != inst.n for m in self.maps):
             raise DimensionError("selection does not match the instance")
         return [
-            Matrix.from_columns([m.column(part.mapping[j]) for part, m in zip(self.sigma.parts, inst.matrices)])
+            Matrix.from_columns([m.column(cols[j]) for cols, m in zip(self.maps, inst.matrices)])
             for j in range(inst.n)
         ]
 
@@ -335,7 +329,13 @@ class TransversalSelection:
         return [det(t) for t in self.transversals(inst)]
 
     def is_valid_for(self, inst: ColorfulInstance) -> bool:
-        """True when every assembled transversal determinant is nonzero."""
+        """True when the transversals are disjoint and every determinant is nonzero.
+
+        Disjoint: each matrix gives each of its columns to exactly one position.
+        """
+        marks = list(range(self.n))
+        if any(sorted(m) != marks for m in self.maps):
+            return False
         return all(d != 0 for d in self.transversal_determinants(inst))
 
 
@@ -407,5 +407,4 @@ def rota_search(
 
     if not position(0):
         return None
-    parts = tuple(SignedPerm.from_mapping(sel[i]) for i in range(n))
-    return TransversalSelection(SignedPermTuple.of(parts))
+    return TransversalSelection(tuple(map(tuple, sel)))

@@ -73,13 +73,6 @@ def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def edge_index(n: int, i: int, j: int) -> int:
-    """Position of edge (i, j), i < j, in the lexicographic edge order."""
-    if not 0 <= i < j < n:
-        raise DimensionError(f"not an edge of the order-{n} complete graph: ({i}, {j})")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True)
 class SpinorInstance:
     """An ordered basis of V_2 per edge, stored in lexicographic edge order."""
@@ -102,30 +95,16 @@ class SpinorInstance:
         """The all-(1, t) instance; every edge determinant is 1."""
         return cls(n, tuple((ONE, T) for _ in range(n * (n - 1) // 2)))
 
-    @classmethod
-    def from_edge_map(cls, n: int, mapping) -> "SpinorInstance":
-        """Build from {(i, j): (p1, p2)} with 0-based i < j."""
-        pairs = edge_pairs(n)
-        missing = [e for e in pairs if e not in mapping]
-        if missing or len(mapping) != len(pairs):
-            raise DimensionError(f"edge map must cover exactly the {len(pairs)} edges, missing {missing}")
-        return cls(n, tuple(tuple(mapping[e]) for e in pairs))
-
     @property
     def edge_count(self) -> int:
         return len(self.bases)
 
-    def basis(self, i: int, j: int) -> tuple[Polynomial, Polynomial]:
-        return self.bases[edge_index(self.n, i, j)]
-
-    def edge_det(self, i: int, j: int) -> Fraction:
-        """Determinant of the 2x2 coefficient matrix of the edge's basis."""
-        p1, p2 = self.basis(i, j)
-        return Fraction(p1.coeffs[0] * p2.coeffs[1] - p1.coeffs[1] * p2.coeffs[0])
-
     @cached_property
     def edge_dets(self) -> tuple[Fraction, ...]:
-        return tuple(self.edge_det(i, j) for i, j in edge_pairs(self.n))
+        """Per edge, the determinant of the 2x2 coefficient matrix of its basis."""
+        return tuple(
+            Fraction(p1.coeffs[0] * p2.coeffs[1] - p1.coeffs[1] * p2.coeffs[0]) for p1, p2 in self.bases
+        )
 
     @property
     def is_nonsingular(self) -> bool:
@@ -145,20 +124,12 @@ class Choice:
         if not 0 <= self.bits < (1 << self.edge_count):
             raise DimensionError(f"bits {self.bits} out of range for {self.edge_count} edges")
 
-    @classmethod
-    def base(cls, n: int) -> "Choice":
-        """The all-p1 choice, the even base point of the enumeration."""
-        return cls(0, n * (n - 1) // 2)
-
     @property
     def sign(self) -> int:
         return -1 if self.bits.bit_count() % 2 else 1
 
     def bit(self, idx: int) -> int:
         return (self.bits >> idx) & 1
-
-    def flip(self, idx: int) -> "Choice":
-        return Choice(self.bits ^ (1 << idx), self.edge_count)
 
 
 def choice_polys(inst: SpinorInstance, c: Choice) -> tuple[Polynomial, ...]:
@@ -326,17 +297,17 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
     degree counts are a permutation of 0..n-1.  A survivor failing that
     would falsify the tournament argument, so it raises.
     """
-    inst = SpinorInstance.identity(n)
-    terms = 1 << inst.edge_count
+    edges = n * (n - 1) // 2
+    terms = 1 << edges
     if terms > term_budget:
         raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
     count = 0
     marks = list(range(n))
-    values, _ = _point_values(inst)
+    values, _ = _point_values(SpinorInstance.identity(n))
     for bits, d in _point_dets(n, values):
         if d:
             count += 1
-            if sorted(out_degrees(Choice(bits, inst.edge_count), n)) != marks:
+            if sorted(out_degrees(Choice(bits, edges), n)) != marks:
                 raise SelfCheckError(f"nonzero term with non-transitive orientation: bits {bits:b}")
     return count
 
@@ -368,8 +339,12 @@ def svrtan_search(
 class _SpinorForm(MultilinearForm):
     def __init__(self, n: int):
         self.n = n
-        self.pairs = edge_pairs(n)
-        super().__init__(Shape.of(*([2] * len(self.pairs))), None, f"spinor base-choice det, n={n}")
+        super().__init__(Shape((2,) * (n * (n - 1) // 2)), None, f"spinor base-choice det, n={n}")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The edge list, built at the first evaluation: a refused sum builds none."""
+        return edge_pairs(self.n)
 
     def evaluate_columns(self, cols):
         n = self.n
@@ -382,21 +357,26 @@ class _SpinorForm(MultilinearForm):
         return det(Matrix.from_columns(acc))
 
 
-def as_engine_instance(inst: SpinorInstance) -> tuple[MultilinearForm, MatrixTuple]:
-    """Recast as a form and matrix tuple of shape (2,...,2), one per edge.
+def spinor_form(n: int) -> MultilinearForm:
+    """The order-n form of shape (2,...,2), one factor per edge.
 
-    Each edge contributes its 2x2 coefficient matrix, columns p1 then p2;
-    the form evaluates the base-choice determinant of whatever bases the
-    (possibly column-swapped) matrices carry, multiplying the coefficient
-    lists of each vertex polynomial directly.  Column swaps are exactly bit
-    flips with matching signs, so the general alternating sum over this
-    pair reproduces the choice sum term by term, and the identity-matrix
-    invariant is n!.
+    It evaluates the base-choice determinant of whatever bases the edge
+    matrices carry, columns p1 then p2, multiplying the coefficient lists
+    of each vertex polynomial directly.  Its identity-matrix invariant is n!.
     """
-    n = inst.n
     if n < 2:
         raise DimensionError("the engine recast needs n >= 2 (at least one edge)")
-    form = _SpinorForm(n)
+    return _SpinorForm(n)
+
+
+def as_engine_instance(inst: SpinorInstance) -> tuple[MultilinearForm, MatrixTuple]:
+    """Recast as `spinor_form` and a matrix tuple, one 2x2 matrix per edge.
+
+    Each edge contributes its coefficient matrix, columns p1 then p2.
+    Column swaps are exactly bit flips with matching signs, so the general
+    alternating sum over this pair reproduces the choice sum term by term.
+    """
+    form = spinor_form(inst.n)
     matrices = tuple(
         Matrix.from_columns([p1.coeffs, p2.coeffs]) for p1, p2 in inst.bases
     )

@@ -43,6 +43,16 @@ def invert(mapping):
     return tuple(out)
 
 
+def literal_act(mapping, m):
+    """Permute the columns of a matrix: column j of the image is column mapping^-1(j).
+
+    ``m`` is a package Matrix; the image is rebuilt from its rows through
+    its own class.
+    """
+    inv = invert(mapping)
+    return type(m).from_rows([[row[inv[j]] for j in range(len(mapping))] for row in m.entries])
+
+
 def enumerate_choices(width):
     """Every width-bit word in reflected-binary order, built by reflection.
 

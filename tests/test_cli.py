@@ -32,8 +32,7 @@ def invoke(argv):
 def singular_spinor_file(tmp_path, n=3):
     # every edge carries twice the same spinor, so no choice can work
     one = Polynomial((1, 0))
-    flat = {(i, j): (one, one) for i in range(n) for j in range(i + 1, n)}
-    inst = SpinorInstance.from_edge_map(n, flat)
+    inst = SpinorInstance(n, ((one, one),) * (n * (n - 1) // 2))
     path = tmp_path / "singular.json"
     path.write_text(canonical_json(instance_to_doc(inst)))
     return path
@@ -108,6 +107,31 @@ class TestExitCodes:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("budget exhausted:")
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--n", "3000"],
+        ["invariant", "--family", "spinor", "--n", "1500"],
+        ["verify-svrtan", "--n", "180"],
+        ["invariant", "--family", "colorful", "--n", "200"],
+    ], ids=["census", "spinor-invariant", "verify-svrtan", "colorful-invariant"])
+    def test_huge_budget_refusal_is_one_short_line(self, argv, capsys):
+        # refused from the term count alone, under the CLI's lifted digit limit
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200
+        assert lines[0].startswith("budget exhausted:")
+
+    @pytest.mark.parametrize("literal", ["\u0663", "\uff13/\uff14", "4\n"], ids=["arabic-indic", "fullwidth", "newline"])
+    def test_non_ascii_digit_entry_is_two(self, literal, tmp_path):
+        rows = [[literal, "0"], ["0", "1"]]
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"kind": "colorful", "n": 2, "matrices": [rows, rows]}))
+        code, out, err = invoke(["verify-onn", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert "bad rational literal" in err
 
     def test_exhausted_search_is_one(self, tmp_path):
         path = singular_spinor_file(tmp_path)

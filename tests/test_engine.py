@@ -22,9 +22,9 @@ from altdet.engine import (
 )
 from altdet.errors import BudgetError, DimensionError
 from altdet.exact import Matrix
-from altdet.perms import Shape, SignedPermTuple, act, enumerate_product
+from altdet.perms import Shape, enumerate_product
 
-from oracles import brute_alternating_sum, invert, literal_dense_eval
+from oracles import brute_alternating_sum, literal_act, literal_dense_eval
 
 
 def random_tuple(shape, rng, lo=-5, hi=5):
@@ -49,11 +49,6 @@ def random_dense_form(shape, rng, lo=-4, hi=4):
     for n in shape:
         size *= n**n
     return DenseTensorForm(shape, [rng.randint(lo, hi) for _ in range(size)])
-
-
-def literal_act(mapping, m):
-    inv = invert(mapping)
-    return Matrix.from_columns([m.column(inv[j]) for j in range(len(mapping))])
 
 
 def literal_value(coeffs, mats):
@@ -194,8 +189,9 @@ class TestAlternatingSum:
         f = random_dense_form(shape, rng)
         A = random_tuple(shape, rng)
         base = alternating_sum(f, A)
-        for tau in enumerate_product(shape):
-            assert alternating_sum(f, act(tau, A)) == tau.parity * base
+        for parity, maps in enumerate_product(shape):
+            moved = MatrixTuple(shape, tuple(literal_act(m, M) for m, M in zip(maps, A.matrices)))
+            assert alternating_sum(f, moved) == parity * base
 
     def test_equal_columns_annihilate(self):
         rng = random.Random(24)
@@ -238,6 +234,38 @@ class TestInvariant:
         assert invariant_at_identity(combo) == 3 * invariant_at_identity(f) + Fraction(
             1, 2
         ) * invariant_at_identity(g)
+
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 1, 2)], ids=str)
+    def test_terms_come_from_the_one_walker(self, sizes):
+        seen = []
+
+        class Recorder(MultilinearForm):
+            def identity_term(self):
+                return lambda maps: seen.append(maps) or 0
+
+        shape = Shape(sizes)
+        assert invariant_at_identity(Recorder(shape, None)) == 0
+        assert seen == [maps for _, maps in enumerate_product(shape)]
+
+    def test_budget_refusal_prints_huge_counts_by_bit_length(self):
+        assert "(999999999999999999 > budget 5)" in str(BudgetError("x", count=10**18 - 1, budget=5))
+        assert "(a 60-bit number > budget 5)" in str(BudgetError("x", count=10**18, budget=5))
+
+    def test_budget_is_checked_before_the_term_is_built(self):
+        class Unbuildable(MultilinearForm):
+            def column_term(self, A):
+                raise AssertionError("term built past the budget")
+
+            def identity_term(self):
+                raise AssertionError("term built past the budget")
+
+        f = Unbuildable(Shape.of(3, 3), None, "refused before any term")
+        A = MatrixTuple.identity(f.shape)
+        with pytest.raises(BudgetError):
+            invariant_at_identity(f, term_budget=35)
+        with pytest.raises(BudgetError):
+            alternating_sum(f, A, term_budget=35)
 
 
 class TestVerifyIdentity:

@@ -42,6 +42,12 @@ class TestRationalText:
             with pytest.raises(InputError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0663", "\uff13/\uff14", "4\n"], ids=["arabic-indic", "fullwidth", "newline"])
+    def test_rejects_beyond_ascii_digits(self, bad):
+        # only [0-9] digits, and the whole string must match
+        with pytest.raises(InputError):
+            parse_rational(bad)
+
     def test_literal_past_the_integer_string_limit(self):
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this Python has no limit on integer strings")

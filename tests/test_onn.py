@@ -15,6 +15,7 @@ from altdet.onn import (
     LATIN_SQUARE_COUNTS,
     ColorfulInstance,
     LatinSquare,
+    TransversalSelection,
     _signed_completions,
     _transversal_det_table,
     alon_tarsi_count,
@@ -24,7 +25,7 @@ from altdet.onn import (
     rota_search,
     verify_onn,
 )
-from altdet.perms import act, enumerate_product
+from altdet.perms import enumerate_product
 
 from oracles import (
     brute_latin_squares,
@@ -32,7 +33,9 @@ from oracles import (
     first_row_latin_count,
     fraction_transversal_table,
     inversion_sign,
+    invert,
     laplace_det,
+    literal_act,
     leaf_product_colorful_sum,
 )
 
@@ -79,7 +82,7 @@ class TestLatinSquare:
 
     def test_sign_transpose_invariant(self):
         for sq in latin_squares(4):
-            assert latin_sign(sq) == latin_sign(sq.transpose)
+            assert latin_sign(sq) == latin_sign(LatinSquare(tuple(zip(*sq.grid))))
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 12), (4, 576)])
     def test_enumeration_is_complete(self, n, count):
@@ -163,12 +166,12 @@ class TestColorfulForm:
             [Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(n)]
         ).as_matrix_tuple()
         term = colorful_form(n).column_term(A)
-        for sigma in enumerate_product(A.shape):
-            moved = act(sigma.inverse, A).matrices
+        for _, maps in enumerate_product(A.shape):
+            moved = [literal_act(invert(m), M) for m, M in zip(maps, A.matrices)]
             expected = prod(
                 laplace_det([[m.entries[r][j] for m in moved] for r in range(n)]) for j in range(n)
             )
-            assert term(tuple(p.mapping for p in sigma.parts)) == expected
+            assert term(maps) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invariant_is_latin_count(self, n):
@@ -238,7 +241,7 @@ class TestVerifyOnn:
 class TestRotaSearch:
     def test_order_1(self):
         sel = rota_search(ColorfulInstance.of([Matrix.from_rows([[5]])]))
-        assert sel is not None and sel.sigma.parts[0].mapping == (0,)
+        assert sel is not None and sel.maps == ((0,),)
 
     def test_order_1_singular(self):
         assert rota_search(ColorfulInstance.of([Matrix.from_rows([[0]])])) is None
@@ -257,8 +260,19 @@ class TestRotaSearch:
         inst = random_colorful(4, rng, nonsingular=True)
         sel = rota_search(inst)
         assert sel is not None
-        for part in sel.sigma.parts:
-            assert sorted(part.mapping) == [0, 1, 2, 3]
+        for cols in sel.maps:
+            assert sorted(cols) == [0, 1, 2, 3]
+
+    def test_selection_reuse_and_size_mismatch(self):
+        inst = ColorfulInstance.of([Matrix.identity(2), Matrix.from_rows([[1, 1], [1, -1]])])
+        # column 0 of matrix 1 at both positions: both determinants are
+        # nonzero, but the transversals are not disjoint
+        shared = TransversalSelection(((0, 1), (0, 0)))
+        assert shared.transversal_determinants(inst) == [1, -1]
+        assert not shared.is_valid_for(inst)
+        assert TransversalSelection(((0, 1), (1, 0))).is_valid_for(inst)
+        with pytest.raises(DimensionError):
+            TransversalSelection(((0,),)).transversals(inst)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_nonsingular_instances_always_succeed(self, n):
@@ -399,5 +413,5 @@ class TestFastRoutesMatchLiteral:
         else:
             mats = drawn_colorful(n, rng, rational=True, repeated_column=kind == "repeated column")
         sel = rota_search(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats))
-        found = None if sel is None else [p.mapping for p in sel.sigma.parts]
+        found = None if sel is None else list(sel.maps)
         assert found == combo_det_rota_search(mats)

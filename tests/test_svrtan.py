@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from altdet.engine import DEFAULT_TERM_BUDGET, invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError
 from altdet.exact import Polynomial, poly_det, poly_mul
-from altdet.perms import act, enumerate_product
+from altdet.perms import Shape, enumerate_product
 from altdet.svrtan import (
     _assignment_sum,
     _point_dets,
@@ -21,14 +21,14 @@ from altdet.svrtan import (
     as_engine_instance,
     choice_det,
     choice_polys,
-    edge_index,
     edge_pairs,
     nonzero_term_census,
     out_degrees,
+    spinor_form,
     svrtan_search,
     verify_svrtan,
 )
-from oracles import enumerate_choices, laplace_det
+from oracles import enumerate_choices, invert, laplace_det, literal_act
 
 
 def poly(c0, c1):
@@ -125,19 +125,6 @@ class TestEdgeOrder:
     def test_pairs_are_lexicographic(self):
         assert edge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-    def test_index_matches_order(self):
-        for n in range(2, 7):
-            for idx, (i, j) in enumerate(edge_pairs(n)):
-                assert edge_index(n, i, j) == idx
-
-    def test_non_edges_rejected(self):
-        with pytest.raises(DimensionError):
-            edge_index(3, 2, 1)
-        with pytest.raises(DimensionError):
-            edge_index(3, 1, 1)
-        with pytest.raises(DimensionError):
-            edge_index(3, 0, 3)
-
 
 class TestSpinorInstance:
     def test_identity(self):
@@ -146,9 +133,9 @@ class TestSpinorInstance:
         assert inst.edge_dets == (1, 1, 1)
         assert inst.is_nonsingular
 
-    def test_edge_det(self):
-        inst = SpinorInstance.from_edge_map(2, {(0, 1): (poly(1, 2), poly(3, 4))})
-        assert inst.edge_det(0, 1) == 1 * 4 - 2 * 3
+    def test_edge_dets(self):
+        inst = SpinorInstance(3, ((poly(1, 2), poly(3, 4)), (poly(1, 0), poly(0, 1)), (poly(2, 0), poly(5, 7))))
+        assert inst.edge_dets == (1 * 4 - 2 * 3, 1, 2 * 7)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -156,25 +143,24 @@ class TestSpinorInstance:
         with pytest.raises(DimensionError):
             SpinorInstance(2, ((Polynomial((1, 0, 0)), poly(0, 1)),))
         with pytest.raises(DimensionError):
-            SpinorInstance.from_edge_map(3, {(0, 1): (poly(1, 0), poly(0, 1))})
+            SpinorInstance(3, ((poly(1, 0), poly(0, 1)),))
 
     def test_singular_edge_detected(self):
-        inst = SpinorInstance.from_edge_map(2, {(0, 1): (poly(1, 2), poly(2, 4))})
+        inst = SpinorInstance(2, ((poly(1, 2), poly(2, 4)),))
         assert not inst.is_nonsingular
 
 
 class TestChoice:
-    def test_base_is_even(self):
-        c = Choice.base(4)
-        assert c.bits == 0 and c.sign == 1 and c.edge_count == 6
+    def test_all_p1_is_even(self):
+        assert Choice(0, 6).sign == 1
 
     def test_sign_is_popcount_parity(self):
         for c in choices(4):
             assert c.sign == (-1) ** bin(c.bits).count("1")
 
-    def test_flip(self):
-        c = Choice.base(3).flip(1)
-        assert c.bit(1) == 1 and c.bit(0) == 0 and c.sign == -1
+    def test_bit(self):
+        c = Choice(0b010, 3)
+        assert (c.bit(0), c.bit(1), c.bit(2)) == (0, 1, 0) and c.sign == -1
 
     def test_bits_range_validated(self):
         with pytest.raises(DimensionError):
@@ -199,7 +185,7 @@ class TestChoicePolys:
 
     def test_n3_base_choice_is_staircase(self):
         inst = SpinorInstance.identity(3)
-        p = choice_polys(inst, Choice.base(3))
+        p = choice_polys(inst, Choice(0, 3))
         assert [q.coeffs for q in p] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_n3_cyclic_orientation_vanishes(self):
@@ -215,10 +201,11 @@ class TestChoicePolys:
         c = Choice(0b0110, 6)
         base = choice_polys(inst, c)
         for idx, (i, j) in enumerate(edge_pairs(4)):
-            flipped = choice_polys(inst, c.flip(idx))
+            flip = Choice(c.bits ^ 1 << idx, 6)
+            flipped = choice_polys(inst, flip)
             changed = [v for v in range(4) if flipped[v] != base[v]]
             assert set(changed) <= {i, j}
-            assert c.flip(idx).sign == -c.sign
+            assert flip.sign == -c.sign
 
     def test_choice_size_mismatch(self):
         with pytest.raises(DimensionError):
@@ -323,9 +310,7 @@ class TestVerifySvrtan:
             assert report.rhs == expected
 
     def test_rational_spinors(self):
-        inst = SpinorInstance.from_edge_map(
-            2, {(0, 1): (poly(Fraction(1, 2), 1), poly(1, Fraction(2, 3)))}
-        )
+        inst = SpinorInstance(2, ((poly(Fraction(1, 2), 1), poly(1, Fraction(2, 3))),))
         assert verify_svrtan(inst).verdict
 
     def test_threads_agree(self):
@@ -336,6 +321,12 @@ class TestVerifySvrtan:
     def test_budget(self):
         with pytest.raises(BudgetError):
             verify_svrtan(SpinorInstance.identity(4), term_budget=32)
+
+    def test_refusal_is_short_at_any_size(self):
+        # 2**16110 choices: past the default limit on integer-string digits
+        with pytest.raises(BudgetError) as refused:
+            verify_svrtan(SpinorInstance.identity(180))
+        assert len(str(refused.value)) < 200 and "16111-bit" in str(refused.value)
 
     def test_scaling_one_edge_scales_both_sides_quadratically(self):
         rng = random.Random(96)
@@ -368,6 +359,16 @@ class TestCensus:
         with pytest.raises(BudgetError):
             nonzero_term_census(5, term_budget=100)
 
+    @pytest.mark.parametrize("n", [200, 3000])
+    def test_refused_before_the_instance_is_built(self, n, monkeypatch):
+        def unbuildable(n):
+            raise AssertionError("instance built past the budget")
+
+        monkeypatch.setattr(SpinorInstance, "identity", staticmethod(unbuildable))
+        with pytest.raises(BudgetError) as refused:
+            nonzero_term_census(n)
+        assert len(str(refused.value)) < 200
+
 
 class TestSearch:
     def test_n2_succeeds_quickly(self):
@@ -375,7 +376,7 @@ class TestSearch:
         assert c is not None and c.bits == 0
 
     def test_singular_n2_exhausts(self):
-        inst = SpinorInstance.from_edge_map(2, {(0, 1): (poly(1, 2), poly(2, 4))})
+        inst = SpinorInstance(2, ((poly(1, 2), poly(2, 4)),))
         assert svrtan_search(inst) is None
         assert svrtan_search(inst, incremental=True) is None
 
@@ -422,6 +423,18 @@ class TestEngineRecast:
     def test_n1_rejected(self):
         with pytest.raises(DimensionError):
             as_engine_instance(SpinorInstance.identity(1))
+        with pytest.raises(DimensionError):
+            spinor_form(1)
+
+    def test_recast_uses_the_order_n_form(self):
+        form, A = as_engine_instance(SpinorInstance.identity(4))
+        assert form.shape == spinor_form(4).shape == A.shape == Shape((2,) * 6)
+
+    def test_invariant_refused_at_any_size(self):
+        # 2**15051 terms: refused from the shape alone, with a short message
+        with pytest.raises(BudgetError) as refused:
+            invariant_at_identity(spinor_form(174))
+        assert len(str(refused.value)) < 200
 
     def test_n2_shapes(self):
         form, A = as_engine_instance(SpinorInstance.identity(2))
@@ -432,7 +445,7 @@ class TestEngineRecast:
         rng = random.Random(111)
         inst = random_spinor(3, rng)
         form, A = as_engine_instance(inst)
-        assert form(A) == choice_det(inst, Choice.base(3))
+        assert form(A) == choice_det(inst, Choice(0, 3))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 2**32), st.booleans())
@@ -441,13 +454,13 @@ class TestEngineRecast:
         inst = rational_spinor(n, rng) if rational else random_spinor(n, rng)
         form, A = as_engine_instance(inst)
         term = form.column_term(A)
-        for sigma in enumerate_product(A.shape):
-            moved = act(sigma.inverse, A).matrices
+        for _, maps in enumerate_product(A.shape):
+            moved = [literal_act(invert(m), M) for m, M in zip(maps, A.matrices)]
             acc = [Polynomial((1,) + (0,) * (n - 1))] * n
             for (i, j), m in zip(edge_pairs(n), moved):
                 acc[i] = poly_mul(acc[i], Polynomial(m.column(0)), n)
                 acc[j] = poly_mul(acc[j], Polynomial(m.column(1)), n)
-            assert term(tuple(p.mapping for p in sigma.parts)) == poly_det(acc)
+            assert term(maps) == poly_det(acc)
 
     def test_invariant_is_factorial(self):
         for n in (2, 3):
