@@ -26,7 +26,7 @@ from .engine import (
     invariant_at_identity,
     verify_identity,
 )
-from .errors import BudgetError, DimensionError, InputError, SelfCheckError
+from .errors import BudgetError, DimensionError, InputError, SelfCheckError, charge
 from .exact import format_rational
 from .instances import (
     SplitMix64,
@@ -51,6 +51,7 @@ from .onn import (
 from .perms import Shape
 from .svrtan import (
     SpinorInstance,
+    choice_count,
     choice_det,
     nonzero_term_census,
     spinor_form,
@@ -130,13 +131,20 @@ def _load_typed(args: argparse.Namespace, expected: type, kind_name: str):
     return inst
 
 
-def _instance_input(args: argparse.Namespace, expected: type, kind_name: str, draw):
-    """The instance read from --input, or drawn by ``draw(n, rng)``, with the seed used."""
+def _instance_input(args: argparse.Namespace, expected: type, kind_name: str, draw, count):
+    """(instance, seed): read from --input, or drawn by ``draw(n, rng)`` once ``count(n)`` is charged."""
     if args.input:
         return _load_typed(args, expected, kind_name), None
     if args.n is None:
         _need(args, "give --input or --n")
+    if count is not None:
+        charge(count(args.n), args.term_budget, f"{args.command} --n {args.n} has too many terms")
     return draw(args.n, SplitMix64(args.seed)), args.seed
+
+
+def _dense_form(args: argparse.Namespace, shape: Shape, rng: SplitMix64):
+    charge(shape.coefficient_count, args.term_budget, "dense form has too many coefficients")
+    return random_dense_form(shape, rng)
 
 
 def _sum_report(
@@ -186,10 +194,10 @@ def cmd_verify_general(args: argparse.Namespace) -> tuple[Report, int]:
     rng = SplitMix64(args.seed)
     if args.input:
         A = _load_typed(args, MatrixTuple, "matrix-tuple")
-        f = random_dense_form(A.shape, rng)
+        f = _dense_form(args, A.shape, rng)
     elif args.shape is not None:
         # one stream seeds both: form coefficients first, then matrices
-        f = random_dense_form(args.shape, rng)
+        f = _dense_form(args, args.shape, rng)
         A = random_matrix_tuple(args.shape, rng)
     else:
         _need(args, "give --input or --shape")
@@ -204,7 +212,7 @@ def cmd_invariant(args: argparse.Namespace) -> tuple[Report, int]:
     if family == "dense":
         if args.shape is None:
             _need(args, "family dense needs --shape")
-        form = random_dense_form(args.shape, SplitMix64(args.seed))
+        form = _dense_form(args, args.shape, SplitMix64(args.seed))
         inputs = {"family": "dense", "shape": list(args.shape.sizes), "seed": args.seed}
     else:
         if n is None:
@@ -238,7 +246,8 @@ def cmd_alon_tarsi(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_verify_onn(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance)
+    colorful_terms = lambda n: Shape((n,) * n).term_count  # (n!)**n, as verify_onn charges
+    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance, colorful_terms)
     rep = verify_onn(inst, term_budget=args.term_budget)
     notes = [f"signed Latin count l({inst.n}) = {rep.latin_count}"]
     if not inst.is_nonsingular:
@@ -248,7 +257,7 @@ def cmd_verify_onn(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance)
+    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance, None)
     sel = rota_search(inst, node_budget=args.node_budget)
     notes: list[str] = []
     guaranteed = False
@@ -274,7 +283,7 @@ def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance)
+    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, choice_count)
     rep = verify_svrtan(inst, term_budget=args.term_budget)
     notes = [] if inst.is_nonsingular else ["input has a singular edge basis: right-hand side vanishes"]
     digest = doc_digest(instance_to_doc(inst))
@@ -282,7 +291,7 @@ def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_svrtan_search(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance)
+    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, choice_count)
     c = svrtan_search(inst, term_budget=args.term_budget)
     guaranteed = inst.is_nonsingular
     if guaranteed:
@@ -306,7 +315,7 @@ def cmd_census(args: argparse.Namespace) -> tuple[Report, int]:
         Fraction(count),
         Fraction(factorial(args.n)),
         ["every surviving choice passed the transitive-tournament degree test"],
-        term_count=1 << (args.n * (args.n - 1) // 2),
+        term_count=choice_count(args.n),
     )
 
 
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report layout on stdout")
     common.add_argument("--term-budget", type=_positive, default=DEFAULT_TERM_BUDGET,
-                        help="hard cap on enumerated terms")
+                        help="hard cap on terms and dense coefficients; past it, exit 3 before any draw")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):

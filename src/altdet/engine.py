@@ -36,7 +36,7 @@ from functools import cached_property
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetError, DimensionError
+from .errors import DimensionError, charge
 from .exact import Matrix, Scalar, det
 from .perms import Shape, enumerate_product
 
@@ -147,9 +147,7 @@ class DenseTensorForm(MultilinearForm):
     """
 
     def __init__(self, shape: Shape, coeffs: Sequence[Scalar], description: str = "dense tensor"):
-        size = 1
-        for n in shape.sizes:
-            size *= n**n
+        size = shape.coefficient_count
         if len(coeffs) != size:
             raise DimensionError(f"shape {shape.sizes} needs {size} coefficients, got {len(coeffs)}")
         self.coeffs = tuple(coeffs)
@@ -187,15 +185,8 @@ class DenseTensorForm(MultilinearForm):
         return term
 
 
-def _signed_sum(shape: Shape, term_budget: int, make_term: Callable[..., Term], *args) -> Fraction:
-    """The signed sum of ``make_term(*args)`` over the product group of ``shape``.
-
-    The budget is checked before the term, and whatever it reads, is built.
-    """
-    terms = shape.term_count
-    if terms > term_budget:
-        raise BudgetError("alternating sum has too many terms", count=terms, budget=term_budget)
-    term = make_term(*args)
+def _signed_sum(shape: Shape, term: Term) -> Fraction:
+    """The signed sum of ``term`` over the product group; callers charge its terms at the gate first."""
     total: Scalar = 0
     for parity, maps in enumerate_product(shape):
         value = term(maps)
@@ -213,7 +204,8 @@ def alternating_sum(
     """Exact value of the signed sum of f over all column permutations of A."""
     if f.shape != A.shape:
         raise DimensionError(f"form shape {f.shape.sizes} != tuple shape {A.shape.sizes}")
-    return _signed_sum(A.shape, term_budget, f.column_term, A)
+    charge(A.shape.term_count, term_budget, "alternating sum has too many terms")
+    return _signed_sum(A.shape, f.column_term(A))
 
 
 def invariant_at_identity(
@@ -224,7 +216,8 @@ def invariant_at_identity(
     Evaluating the sum at the all-identity tuple isolates it, since every
     determinant is then 1.
     """
-    return _signed_sum(f.shape, term_budget, f.identity_term)
+    charge(f.shape.term_count, term_budget, "alternating sum has too many terms")
+    return _signed_sum(f.shape, f.identity_term())
 
 
 @dataclass(frozen=True)

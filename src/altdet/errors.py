@@ -41,5 +41,12 @@ class BudgetError(AltdetError, RuntimeError):
         self.budget = budget
 
 
+def charge(count: int, budget: int, what: str) -> int:
+    """The one size gate: ``count``, or `BudgetError` when it exceeds ``budget``."""
+    if count > budget:
+        raise BudgetError(what, count=count, budget=budget)
+    return count
+
+
 class SelfCheckError(AltdetError, RuntimeError):
     """An internal consistency check failed: a bug, not a bad input."""

@@ -98,10 +98,7 @@ def random_spinor_instance(n: int, rng: SplitMix64) -> SpinorInstance:
 
 def random_dense_form(shape: Shape, rng: SplitMix64) -> DenseTensorForm:
     """Integer tensor coefficients in flat index order, last slot fastest."""
-    size = 1
-    for n in shape:
-        size *= n**n
-    return DenseTensorForm(shape, [_entry(rng) for _ in range(size)], "seeded dense tensor")
+    return DenseTensorForm(shape, [_entry(rng) for _ in range(shape.coefficient_count)], "seeded dense tensor")
 
 
 def _matrix_doc(m: Matrix) -> list[list[str]]:

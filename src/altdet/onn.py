@@ -41,7 +41,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
-from .errors import BudgetError, DimensionError, InputError
+from .errors import BudgetError, DimensionError, InputError, charge
 from .exact import Matrix, _int_det, det, int_scaled
 from .perms import Shape, _pool, _sign
 
@@ -166,16 +166,14 @@ def alon_tarsi_count(
     has n!(n-1)! squares, so l(n) is n!(n-1)! times the signed count of
     reduced squares, taken by the masked DFS over rows 1..n-1 with column 0
     pinned.  The count stands for L(n) squares, the number of order-n Latin
-    squares; more than ``term_budget`` raises before any work starts.
+    squares, charged to ``term_budget`` at the size gate before any work.
     ``threads`` is accepted and ignored: the count runs serially.
     """
     if n < 1:
         raise DimensionError("Latin squares need order >= 1")
     if n > MAX_FULL_ORDER:
         raise BudgetError(f"Latin square counts are capped at order {MAX_FULL_ORDER}, got {n}")
-    squares = LATIN_SQUARE_COUNTS[n - 1]
-    if squares > term_budget:
-        raise BudgetError("Latin square enumeration has too many terms", count=squares, budget=term_budget)
+    charge(LATIN_SQUARE_COUNTS[n - 1], term_budget, "Latin square enumeration has too many terms")
     if n % 2 and n > 1:
         return 0
     # first row the identity: column c holds value c, and the row's sign is +1
@@ -288,16 +286,14 @@ def verify_onn(
     """Check the colorful identity on one instance, exactly.
 
     The left side sums (n!)**n signed products of transversal determinants,
-    all charged to ``term_budget``; by position symmetry it is 0 for odd
-    n >= 3 and otherwise n! times the part with sigma_1 the identity,
-    (n!)**(n-2) integer determinants.  The right side is l(n) times the
-    product of the matrix determinants.  ``threads`` is accepted and
-    ignored: the check runs serially.
+    charged to ``term_budget`` at the size gate; by position symmetry it is
+    0 for odd n >= 3 and otherwise n! times the part with sigma_1 the
+    identity, (n!)**(n-2) integer determinants.  The right side is l(n)
+    times the product of the matrix determinants.  ``threads`` is accepted
+    and ignored: the check runs serially.
     """
     n = inst.n
-    terms = factorial(n) ** n
-    if terms > term_budget:
-        raise BudgetError("colorful alternating sum has too many terms", count=terms, budget=term_budget)
+    terms = charge(inst.shape.term_count, term_budget, "colorful alternating sum has too many terms")
     if n % 2 and n > 1:
         lhs = Fraction(0)
     else:

@@ -66,6 +66,11 @@ class Shape:
         """
         return prod(factorial(s) ** k for s, k in Counter(self.sizes).items())
 
+    @property
+    def coefficient_count(self) -> int:
+        """prod n_i**n_i, the coefficients of a dense form of this shape."""
+        return prod(s ** (s * k) for s, k in Counter(self.sizes).items())
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.sizes)
 

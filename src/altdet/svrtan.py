@@ -59,7 +59,7 @@ from math import factorial, prod
 from typing import Iterator
 
 from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
-from .errors import BudgetError, DimensionError, SelfCheckError
+from .errors import DimensionError, SelfCheckError, charge
 from .exact import Matrix, Polynomial, _int_det, det, int_scaled, poly_det, poly_mul
 from .perms import Shape
 
@@ -71,6 +71,11 @@ T = Polynomial((0, 1))
 def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All edges {i,j}, i < j, in lexicographic order; bit b names edge b."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def choice_count(n: int) -> int:
+    """2^C(n,2), the base choices of order n, one bit per edge; 1 at n = 1."""
+    return 1 << (n * (n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -217,10 +222,9 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
     Each step flips one edge and looks up the value columns of its two
     ends, building each (vertex, incident bits) column once per call.
     """
-    pairs = edge_pairs(n)
     incident = [[] for _ in range(n)]  # (values if bit 0, values if bit 1)
     flips = []  # per edge: each end and its bit in that end's column key
-    for (i, j), (v1, v2) in zip(pairs, values):
+    for (i, j), (v1, v2) in zip(edge_pairs(n), values):
         flips.append((i, 1 << len(incident[i]), j, 1 << len(incident[j])))
         incident[i].append((v1, v2))
         incident[j].append((v2, v1))
@@ -237,7 +241,7 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
     bits = 0
     keys = [0] * n
     cols = [column(v, 0) for v in range(n)]
-    for t in range(1 << len(pairs)):
+    for t in range(choice_count(n)):
         if t:
             idx = (t & -t).bit_length() - 1
             bits ^= 1 << idx
@@ -278,13 +282,11 @@ def verify_svrtan(
 
     The report's invariant is n! and its determinants are the edge
     determinants.  The signed choice sum is taken over point assignments
-    (see the module notes) and divided once; the budget counts the
-    2^C(n,2) choices it covers.  ``threads`` is accepted and ignored, as
-    by every sum.
+    (see the module notes) and divided once; its 2^C(n,2) choices,
+    `choice_count`, are charged to ``term_budget`` at the size gate.
+    ``threads`` is accepted and ignored, as by every sum.
     """
-    terms = 1 << inst.edge_count
-    if terms > term_budget:
-        raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
+    terms = charge(choice_count(inst.n), term_budget, "choice space has too many terms")
     values, divisor = _point_values(inst)
     total = _assignment_sum(inst.n, values)
     return SumReport.of(Fraction(total, divisor), factorial(inst.n), inst.edge_dets, terms)
@@ -297,10 +299,8 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
     degree counts are a permutation of 0..n-1.  A survivor failing that
     would falsify the tournament argument, so it raises.
     """
+    charge(choice_count(n), term_budget, "choice space has too many terms")
     edges = n * (n - 1) // 2
-    terms = 1 << edges
-    if terms > term_budget:
-        raise BudgetError("choice space has too many terms", count=terms, budget=term_budget)
     count = 0
     marks = list(range(n))
     values, _ = _point_values(SpinorInstance.identity(n))
@@ -326,13 +326,11 @@ def svrtan_search(
     two value columns an edge flip touches; tests check it against a
     literal choice_det loop.  ``incremental`` is accepted and ignored.
     """
-    E = inst.edge_count
-    if (1 << E) > term_budget:
-        raise BudgetError("choice space has too many terms", count=1 << E, budget=term_budget)
+    charge(choice_count(inst.n), term_budget, "choice space has too many terms")
     values, _ = _point_values(inst)
     for bits, d in _point_dets(inst.n, values):
         if d:
-            return Choice(bits, E)
+            return Choice(bits, inst.edge_count)
     return None
 
 
@@ -341,15 +339,10 @@ class _SpinorForm(MultilinearForm):
         self.n = n
         super().__init__(Shape((2,) * (n * (n - 1) // 2)), None, f"spinor base-choice det, n={n}")
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The edge list, built at the first evaluation: a refused sum builds none."""
-        return edge_pairs(self.n)
-
     def evaluate_columns(self, cols):
         n = self.n
         acc = [[1] + [0] * (n - 1) for _ in range(n)]
-        for (i, j), (to_i, to_j) in zip(self.pairs, cols):
+        for (i, j), (to_i, to_j) in zip(edge_pairs(n), cols):
             # times (a + b t); a vertex has n - 1 edges, so no degree spills over
             for v, (a, b) in ((i, to_i), (j, to_j)):
                 p = acc[v]

@@ -17,7 +17,9 @@ from altdet.instances import (
     random_colorful_instance,
     random_spinor_instance,
 )
+from altdet.engine import MatrixTuple
 from altdet.exact import Polynomial
+from altdet.perms import Shape
 from altdet.svrtan import Choice, SpinorInstance
 
 
@@ -100,6 +102,15 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err
 
+    def test_dense_coefficients_are_charged(self):
+        # shape 2,2 has 4 terms but 16 coefficients, and the coefficients set the bound
+        base = invoke(["verify-general", "--shape", "2,2"])
+        at = invoke(["verify-general", "--shape", "2,2", "--term-budget", "16"])
+        assert at[:2] == base[:2] and at[0] == 0
+        code, out, err = invoke(["verify-general", "--shape", "2,2", "--term-budget", "15"])
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exhausted: dense form has too many coefficients (16 > budget 15)")
+
     def test_latin_enumeration_budget_is_three(self):
         # L(6) = 812851200 squares: refused at once, not hours of DFS
         code, out, err = invoke(["alon-tarsi", "--n", "6", "--term-budget", "10"])
@@ -113,10 +124,27 @@ class TestExitCodes:
         ["invariant", "--family", "spinor", "--n", "1500"],
         ["verify-svrtan", "--n", "180"],
         ["invariant", "--family", "colorful", "--n", "200"],
-    ], ids=["census", "spinor-invariant", "verify-svrtan", "colorful-invariant"])
-    def test_huge_budget_refusal_is_one_short_line(self, argv, capsys):
-        # refused from the term count alone, under the CLI's lifted digit limit
-        code = main(argv)
+        ["verify-onn", "--n", "60"],
+        ["verify-svrtan", "--n", "3000"],
+        ["svrtan-search", "--n", "120"],
+        ["verify-general", "--shape", "6,6"],
+        ["verify-general", "--shape", "12"],
+        ["invariant", "--family", "dense", "--shape", "7,7"],
+        ["verify-general", "--input", "{tuple_6_6}"],
+    ], ids=["census", "spinor-invariant", "verify-svrtan", "colorful-invariant", "verify-onn-60",
+            "verify-svrtan-3000", "svrtan-search-120", "dense-6-6", "dense-12", "dense-invariant-7-7",
+            "dense-input-6-6"])
+    def test_huge_budget_refusal_is_one_short_line(self, argv, capsys, monkeypatch, tmp_path):
+        # refused from the size alone, under the CLI's lifted digit limit, before any draw
+        tuple_6_6 = tmp_path / "tuple_6_6.json"
+        tuple_6_6.write_text(canonical_json(instance_to_doc(MatrixTuple.identity(Shape.of(6, 6)))))
+
+        def undrawable(*args):
+            raise AssertionError("instance drawn past the budget")
+
+        for name in ("random_colorful_instance", "random_spinor_instance", "random_dense_form", "random_matrix_tuple"):
+            monkeypatch.setattr(f"altdet.cli.{name}", undrawable)
+        code = main([a.format(tuple_6_6=tuple_6_6) for a in argv])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""

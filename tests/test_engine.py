@@ -20,7 +20,7 @@ from altdet.engine import (
     invariant_at_identity,
     verify_identity,
 )
-from altdet.errors import BudgetError, DimensionError
+from altdet.errors import BudgetError, DimensionError, charge
 from altdet.exact import Matrix
 from altdet.perms import Shape, enumerate_product
 
@@ -251,6 +251,11 @@ class TestInvariant:
     def test_budget_refusal_prints_huge_counts_by_bit_length(self):
         assert "(999999999999999999 > budget 5)" in str(BudgetError("x", count=10**18 - 1, budget=5))
         assert "(a 60-bit number > budget 5)" in str(BudgetError("x", count=10**18, budget=5))
+        # the gate passes a count equal to the budget and refuses one past it
+        assert charge(5, 5, "x") == 5
+        with pytest.raises(BudgetError) as refused:
+            charge(6, 5, "x")
+        assert str(refused.value) == "x (6 > budget 5)"
 
     def test_budget_is_checked_before_the_term_is_built(self):
         class Unbuildable(MultilinearForm):

@@ -97,7 +97,8 @@ class TestGenerators:
 
     def test_dense_form_coefficient_count(self):
         f = random_dense_form(Shape.of(2, 2), SplitMix64(1))
-        assert len(f.coeffs) == 2**2 * 2**2
+        assert len(f.coeffs) == Shape.of(2, 2).coefficient_count == 2**2 * 2**2
+        assert Shape.of(3, 1, 3, 2).coefficient_count == 3**3 * 1 * 3**3 * 2**2
 
     def test_generation_is_reproducible(self):
         a = random_spinor_instance(3, SplitMix64(77))
