@@ -26,7 +26,7 @@ from .engine import (
     invariant_at_identity,
     verify_identity,
 )
-from .errors import BudgetError, DimensionError, InputError, SelfCheckError, charge
+from .errors import BudgetError, DimensionError, InputError, SelfCheckError
 from .exact import format_rational
 from .instances import (
     SplitMix64,
@@ -44,6 +44,7 @@ from .onn import (
     MAX_FULL_ORDER,
     ColorfulInstance,
     alon_tarsi_count,
+    charge_colorful_terms,
     colorful_form,
     rota_search,
     verify_onn,
@@ -51,6 +52,7 @@ from .onn import (
 from .perms import Shape
 from .svrtan import (
     SpinorInstance,
+    charge_choices,
     choice_count,
     choice_det,
     nonzero_term_census,
@@ -131,19 +133,19 @@ def _load_typed(args: argparse.Namespace, expected: type, kind_name: str):
     return inst
 
 
-def _instance_input(args: argparse.Namespace, expected: type, kind_name: str, draw, count):
-    """(instance, seed): read from --input, or drawn by ``draw(n, rng)`` once ``count(n)`` is charged."""
+def _instance_input(args: argparse.Namespace, expected: type, kind_name: str, draw, gate):
+    """(instance, seed): read from --input, or drawn by ``draw(n, rng)`` once ``gate(n, budget, what)`` passes."""
     if args.input:
         return _load_typed(args, expected, kind_name), None
     if args.n is None:
         _need(args, "give --input or --n")
-    if count is not None:
-        charge(count(args.n), args.term_budget, f"{args.command} --n {args.n} has too many terms")
+    if gate is not None:
+        gate(args.n, args.term_budget, f"{args.command} --n {args.n} has too many terms")
     return draw(args.n, SplitMix64(args.seed)), args.seed
 
 
 def _dense_form(args: argparse.Namespace, shape: Shape, rng: SplitMix64):
-    charge(shape.coefficient_count, args.term_budget, "dense form has too many coefficients")
+    shape.charge_coefficients(args.term_budget, "dense form has too many coefficients")
     return random_dense_form(shape, rng)
 
 
@@ -246,8 +248,7 @@ def cmd_alon_tarsi(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_verify_onn(args: argparse.Namespace) -> tuple[Report, int]:
-    colorful_terms = lambda n: Shape((n,) * n).term_count  # (n!)**n, as verify_onn charges
-    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance, colorful_terms)
+    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance, charge_colorful_terms)
     rep = verify_onn(inst, term_budget=args.term_budget)
     notes = [f"signed Latin count l({inst.n}) = {rep.latin_count}"]
     if not inst.is_nonsingular:
@@ -283,7 +284,7 @@ def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, choice_count)
+    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, charge_choices)
     rep = verify_svrtan(inst, term_budget=args.term_budget)
     notes = [] if inst.is_nonsingular else ["input has a singular edge basis: right-hand side vanishes"]
     digest = doc_digest(instance_to_doc(inst))
@@ -291,7 +292,7 @@ def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def cmd_svrtan_search(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, choice_count)
+    inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, charge_choices)
     c = svrtan_search(inst, term_budget=args.term_budget)
     guaranteed = inst.is_nonsingular
     if guaranteed:

@@ -2,25 +2,30 @@
 
 The central quantity is sum over sigma of sgn(sigma) * f(sigma^-1 . A),
 where sigma runs over the product of the column-permutation groups of the
-matrices.  Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A,
-so each term is computed literally: the sum walks the (parity, mappings)
-pairs of `perms.enumerate_product` and hands the form, by index, the columns
-of A it reads, taken from column lists built once per call.  No permuted
-matrix is built; signed values are summed as they come (plain ints for
-integer inputs) and one Fraction is made per sum.
+matrices.  Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A.
 
-Forms read columns: `MultilinearForm.evaluate_columns` is the one
-evaluation body of every form.  A plain form wraps a function of a
-`MatrixTuple` and builds the matrices for each evaluation; the dense,
-colorful and spinor forms read the column lists directly.
+Each sum is one depth-first fold over the column slots, run by
+`perms.walk`: block by block, and within block i position by position, the
+slot of position j takes each column index c of A_i not used yet, so that
+sigma_i(j) = c.  A form supplies a `Fold` for the column lists of A, built
+once per call: a start state, a step that puts column c of A_i at position
+j, and a finish that gives a leaf's exact value.  Terms that share a
+column prefix share the steps above it.  A step may answer "every
+completion is zero", and the walk skips that subtree.  Every term is still
+its own exact value, and no fold uses the factorization under test; the
+size gate charges the whole product group before the walk, pruned or not.
+No permuted matrix is built; signed values are summed as they come (plain
+ints for integer inputs) and one Fraction is made per sum.
+
+The fold is the one evaluation body of every form.  A plain form wraps a
+function of a `MatrixTuple`: its default fold collects each path's
+mappings and evaluates the term whole, building the matrices.  The dense,
+colorful and spinor forms fold their own partial values.
 
 For every form f the sum factors as a scalar, depending on f and the shape
 alone, times the product of the matrix determinants.  That scalar is
 recovered by running the same sum with every matrix set to the identity,
 and `verify_identity` checks the factorization exactly on given inputs.
-At the identity a term is the form's value on permuted unit columns; a
-dense form reads it as the one coefficient whose slot digits are the
-mappings, with no contraction.
 
 `SumReport` holds both sides of the factorization; the colorful and spinor
 checks fill the same report with their own invariants, l(n) and n!.  Every
@@ -34,11 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, charge
+from .errors import DimensionError
 from .exact import Matrix, Scalar, det
-from .perms import Shape, enumerate_product
+from .perms import Shape, _extend, walk
 
 DEFAULT_TERM_BUDGET = 10**8
 
@@ -78,20 +84,30 @@ class MatrixTuple:
         return all(d != 0 for d in self.determinants)
 
 
-Mappings = tuple[tuple[int, ...], ...]
-Term = Callable[[Mappings], Scalar]
+class Fold(NamedTuple):
+    """A form's alternating sum over one tuple, as `perms.walk` runs it.
+
+    ``step(state, i, j, c)`` puts column c of matrix i at position j of its
+    block and gives the state below, or None when every completion is zero;
+    ``finish`` gives a leaf's term times ``scale``.
+    """
+
+    start: Any
+    step: Callable[[Any, int, int, int], Any]
+    finish: Callable[[Any], Scalar]
+    scale: int = 1
 
 
 class MultilinearForm:
     """A scalar function of a matrix tuple, linear in each column slot.
 
-    `evaluate_columns` is the one evaluation body: it takes, for each
-    matrix, its list of columns.  Calling the form on a `MatrixTuple`
-    delegates to it, and so do the alternating sum and the invariant, which
-    hand it the columns of each term by index.  A plain instance wraps
-    ``evaluator``, a function of a `MatrixTuple`; its `evaluate_columns`
-    builds the matrices for every evaluation.  Subclasses override
-    `evaluate_columns` instead and pass no evaluator.
+    `fold` is the one evaluation body: given, for each matrix, its list of
+    columns, it folds the terms of the alternating sum slot by slot.  The
+    sum, the invariant and a call on a `MatrixTuple` (the one path that
+    keeps every column in place) all run it.  A plain instance wraps
+    ``evaluator``, a function of a `MatrixTuple`: its fold collects each
+    path's mappings and `evaluate_columns` builds the matrices for every
+    term.  Subclasses override `fold` instead and pass no evaluator.
     """
 
     def __init__(
@@ -105,26 +121,29 @@ class MultilinearForm:
         self.description = description
 
     def evaluate_columns(self, cols: Sequence[Sequence[tuple[Scalar, ...]]]) -> Scalar:
-        """The value at the tuple whose matrix i has the columns cols[i]."""
+        """The evaluator's value at the tuple whose matrix i has the columns cols[i]."""
         return self.evaluator(
             MatrixTuple(self.shape, tuple(Matrix.from_columns(c) for c in cols))
         )
 
-    def __call__(self, A: MatrixTuple) -> Scalar:
-        return self.evaluate_columns([m.columns() for m in A.matrices])
+    def fold(self, cols: Sequence[Sequence[tuple[Scalar, ...]]]) -> Fold:
+        """The fold of the sum over the tuple whose matrix i has the columns cols[i].
 
-    def column_term(self, A: MatrixTuple) -> Term:
-        """The alternating-sum term: the mappings of sigma -> f(sigma^-1 . A).
-
-        Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A.
+        Column j of matrix i in sigma^-1 . A is column sigma_i(j) of A, so
+        a leaf's mappings pick the columns of its term.
         """
-        cols = [m.columns() for m in A.matrices]
         evaluate = self.evaluate_columns
-        return lambda maps: evaluate([[c[s] for s in m] for c, m in zip(cols, maps)])
+        return Fold((), _extend, lambda maps: evaluate([[c[s] for s in m] for c, m in zip(cols, maps)]))
 
-    def identity_term(self) -> Term:
-        """The invariant's term: the mappings of sigma -> f(sigma^-1 . I)."""
-        return self.column_term(MatrixTuple.identity(self.shape))
+    def __call__(self, A: MatrixTuple) -> Fraction:
+        """The value at A: the fold's one path with every sigma_i the identity."""
+        state, step, finish, scale = self.fold([m.columns() for m in A.matrices])
+        for i, n in enumerate(self.shape):
+            for j in range(n):
+                state = step(state, i, j, j)
+                if state is None:
+                    return Fraction(0)
+        return Fraction(finish(state), scale)
 
     def __repr__(self) -> str:
         return f"MultilinearForm({self.shape.sizes}, {self.description!r})"
@@ -140,10 +159,13 @@ class DenseTensorForm(MultilinearForm):
     matrix, and the value is the coefficient-weighted sum of all entry
     products.
 
-    Evaluation contracts one slot at a time, last slot first: entry r of
-    the last slot's column weights the stride-n slice starting at r.  At a
-    permuted identity tuple only one coefficient survives, the one whose
-    slot digits are sigma_i(j), so `identity_term` is a single lookup.
+    The fold contracts the first remaining slot at each step: entry r of
+    the slot's column weights the r-th of n equal slices of the vector,
+    which leaves the coefficients of the later slots.  Terms that share a
+    column prefix share its partial contraction, a zero column cuts its
+    subtree, and a leaf is the one entry left.  When every column is a
+    unit vector, as at the identity, a term is a single coefficient, and
+    the state is its flat index, one digit per slot.
     """
 
     def __init__(self, shape: Shape, coeffs: Sequence[Scalar], description: str = "dense tensor"):
@@ -153,46 +175,37 @@ class DenseTensorForm(MultilinearForm):
         self.coeffs = tuple(coeffs)
         super().__init__(shape, None, description)
 
-    def evaluate_columns(self, cols: Sequence[Sequence[tuple[Scalar, ...]]]) -> Scalar:
-        vec: Sequence[Scalar] = self.coeffs
-        for block in reversed(cols):
-            n = len(block)
-            for col in reversed(block):
-                out = None
-                for r, c in enumerate(col):
-                    if not c:
-                        continue
+    def fold(self, cols: Sequence[Sequence[tuple[Scalar, ...]]]) -> Fold:
+        if all(col.count(1) == 1 and col.count(0) == len(col) - 1 for block in cols for col in block):
+            sizes = self.shape.sizes
+            digits = [[col.index(1) for col in block] for block in cols]
+            return Fold(0, lambda index, i, j, c: index * sizes[i] + digits[i][c], self.coeffs.__getitem__)
+
+        def step(vec: Sequence[Scalar], i: int, j: int, c: int):
+            col = cols[i][c]
+            width = len(vec) // len(col)
+            out = None
+            for r, x in enumerate(col):
+                if x:
+                    part = vec[r * width:(r + 1) * width]
                     if out is None:
-                        out = [c * y for y in vec[r::n]]
+                        out = part if x == 1 else [x * y for y in part]
                     else:
-                        out = [x + c * y for x, y in zip(out, vec[r::n])]
-                if out is None:
-                    return 0
-                vec = out
-        return vec[0]
+                        out = [a + x * y for a, y in zip(out, part)]
+            return out
 
-    def identity_term(self) -> Term:
-        coeffs = self.coeffs
-        sizes = self.shape.sizes
-
-        def term(maps: Mappings) -> Scalar:
-            index = 0
-            for n, m in zip(sizes, maps):
-                for s in m:
-                    index = index * n + s
-            return coeffs[index]
-
-        return term
+        return Fold(self.coeffs, step, itemgetter(0))
 
 
-def _signed_sum(shape: Shape, term: Term) -> Fraction:
-    """The signed sum of ``term`` over the product group; callers charge its terms at the gate first."""
+def _fold_sum(shape: Shape, fold: Fold) -> Fraction:
+    """The signed sum of the fold's leaves over the product group; callers charge its terms at the gate first."""
+    finish = fold.finish
     total: Scalar = 0
-    for parity, maps in enumerate_product(shape):
-        value = term(maps)
+    for parity, state in walk(shape, fold.start, fold.step):
+        value = finish(state)
         if value:
             total += value if parity > 0 else -value
-    return Fraction(total)
+    return Fraction(total, fold.scale)
 
 
 def alternating_sum(
@@ -204,8 +217,8 @@ def alternating_sum(
     """Exact value of the signed sum of f over all column permutations of A."""
     if f.shape != A.shape:
         raise DimensionError(f"form shape {f.shape.sizes} != tuple shape {A.shape.sizes}")
-    charge(A.shape.term_count, term_budget, "alternating sum has too many terms")
-    return _signed_sum(A.shape, f.column_term(A))
+    A.shape.charge_terms(term_budget, "alternating sum has too many terms")
+    return _fold_sum(A.shape, f.fold([m.columns() for m in A.matrices]))
 
 
 def invariant_at_identity(
@@ -216,8 +229,8 @@ def invariant_at_identity(
     Evaluating the sum at the all-identity tuple isolates it, since every
     determinant is then 1.
     """
-    charge(f.shape.term_count, term_budget, "alternating sum has too many terms")
-    return _signed_sum(f.shape, f.identity_term())
+    f.shape.charge_terms(term_budget, "alternating sum has too many terms")
+    return _fold_sum(f.shape, f.fold([Matrix.identity(n).columns() for n in f.shape]))
 
 
 @dataclass(frozen=True)

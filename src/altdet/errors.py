@@ -8,6 +8,8 @@ verdict (exit 1).
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class AltdetError(Exception):
     """Base class for errors raised by this package."""
@@ -41,8 +43,18 @@ class BudgetError(AltdetError, RuntimeError):
         self.budget = budget
 
 
-def charge(count: int, budget: int, what: str) -> int:
-    """The one size gate: ``count``, or `BudgetError` when it exceeds ``budget``."""
+def charge(count: int | Callable[[], int], budget: int, what: str, *, bits: int = 0) -> int:
+    """The one size gate: ``count``, or `BudgetError` when it exceeds ``budget``.
+
+    A count that may be too large to build comes as a function, with
+    ``bits``, a lower bound on its bit length.  A bound past both the
+    budget's bit length and 64 refuses the count unbuilt, as "at least a
+    ``bits``-bit number"; otherwise the count is built and compared.
+    """
+    if bits > max(budget.bit_length(), 64):
+        raise BudgetError(f"{what} (at least a {bits}-bit number > budget {_figure(budget)})")
+    if callable(count):
+        count = count()
     if count > budget:
         raise BudgetError(what, count=count, budget=budget)
     return count

@@ -37,13 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
+from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport
 from .errors import BudgetError, DimensionError, InputError, charge
 from .exact import Matrix, _int_det, det, int_scaled
-from .perms import Shape, _pool, _sign
+from .perms import Shape, _floor_log2_factorial, _pool, _sign
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
@@ -199,28 +199,52 @@ class ColorfulInstance(MatrixTuple):
 
 class _ColorfulForm(MultilinearForm):
     def __init__(self, n: int):
+        self.n = n
         super().__init__(Shape.of(*([n] * n)), None, f"colorful order {n}")
-        self.memo: dict[tuple, Fraction] = {}
 
-    def evaluate_columns(self, cols):
-        memo = self.memo
-        value: Fraction | int = 1
-        for picked in zip(*cols):
-            d = memo.get(picked)
-            if d is None:
-                d = det(Matrix.from_columns(picked))
-                memo[picked] = d
-            if not d:
-                return 0
-            value *= d
-        return value
+    def fold(self, cols) -> Fold:
+        n = self.n
+        last = n - 1
+        base = n + 1  # n = 1 still grows a key by one digit per matrix
+        scaled = [[int_scaled(col) for col in block] for block in cols]
+        # a term picks each column of each matrix once, so every term has the same scale
+        scale = prod(s for block in scaled for _, s in block)
+        # per key, the Bareiss rows of its picked columns, the determinant
+        # once all n are picked, or None once they are dependent
+        memo: dict[int, list | int | None] = {1: []}
+
+        def step(keys: tuple[int, ...], i: int, j: int, c: int):
+            parent = keys[0]
+            key = parent * base + c
+            if key not in memo:
+                basis = memo[parent]
+                reduced = _eliminate(scaled[i][c][0], basis)
+                if reduced is None:
+                    memo[key] = None
+                elif i < last:
+                    memo[key] = basis + [reduced]
+                else:
+                    # the last pivot is the determinant with the columns in pivot order
+                    pivots = tuple(p for p, _ in basis) + (reduced[0],)
+                    memo[key] = _sign(pivots) * reduced[1][reduced[0]]
+            if memo[key] is None:
+                return None
+            # the key of position j leaves the front and comes back extended
+            return keys[1:] + (key,)
+
+        return Fold((1,) * n, step, lambda keys: prod(memo[k] for k in keys), scale)
 
 
 def colorful_form(n: int) -> MultilinearForm:
     """The order-n form: product over j of det(column j of each matrix).
 
-    Assembled determinants repeat heavily across permuted evaluations, so
-    the form memoizes them on the tuple of picked columns for its lifetime.
+    Its fold keeps, for each position j, the key of the columns picked for
+    transversal j so far: a leading 1, then one base-(n+1) digit per matrix.
+    A memo on those keys, built for each sum, holds the fraction-free
+    elimination of the picked columns, scaled once to integers, so a prefix
+    whose columns are already dependent cuts its subtree; at the identity
+    that is every prefix with a repeated column.  A full key holds its
+    integer determinant, the last pivot signed by the pivot order.
     """
     if n < 1:
         raise DimensionError("colorful forms need n >= 1")
@@ -277,6 +301,15 @@ def _onn_partial(n: int, table: list[int]) -> int:
     return total
 
 
+def charge_colorful_terms(n: int, budget: int, what: str) -> int:
+    """(n!)**n, the terms of the order-n colorful sum, through the size gate.
+
+    Its bit length is at least n * floor(log2 n!) + 1, so a count too large
+    to build is refused without building it, or a shape of n factors.
+    """
+    return charge(lambda: factorial(n) ** n, budget, what, bits=n * _floor_log2_factorial(n) + 1)
+
+
 def verify_onn(
     inst: ColorfulInstance,
     *,
@@ -293,7 +326,7 @@ def verify_onn(
     and ignored: the check runs serially.
     """
     n = inst.n
-    terms = charge(inst.shape.term_count, term_budget, "colorful alternating sum has too many terms")
+    terms = charge_colorful_terms(n, term_budget, "colorful alternating sum has too many terms")
     if n % 2 and n > 1:
         lhs = Fraction(0)
     else:

@@ -58,9 +58,9 @@ from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, MatrixTuple, MultilinearForm, SumReport
+from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport
 from .errors import DimensionError, SelfCheckError, charge
-from .exact import Matrix, Polynomial, _int_det, det, int_scaled, poly_det, poly_mul
+from .exact import Matrix, Polynomial, _int_det, int_scaled, poly_det, poly_mul
 from .perms import Shape
 
 ONE = Polynomial((1, 0))
@@ -76,6 +76,11 @@ def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def choice_count(n: int) -> int:
     """2^C(n,2), the base choices of order n, one bit per edge; 1 at n = 1."""
     return 1 << (n * (n - 1) // 2)
+
+
+def charge_choices(n: int, budget: int, what: str = "choice space has too many terms") -> int:
+    """`choice_count` through the size gate; a count past it is refused unbuilt by its bit length, C(n,2) + 1."""
+    return charge(lambda: choice_count(n), budget, what, bits=n * (n - 1) // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ def verify_svrtan(
     `choice_count`, are charged to ``term_budget`` at the size gate.
     ``threads`` is accepted and ignored, as by every sum.
     """
-    terms = charge(choice_count(inst.n), term_budget, "choice space has too many terms")
+    terms = charge_choices(inst.n, term_budget)
     values, divisor = _point_values(inst)
     total = _assignment_sum(inst.n, values)
     return SumReport.of(Fraction(total, divisor), factorial(inst.n), inst.edge_dets, terms)
@@ -299,7 +304,7 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
     degree counts are a permutation of 0..n-1.  A survivor failing that
     would falsify the tournament argument, so it raises.
     """
-    charge(choice_count(n), term_budget, "choice space has too many terms")
+    charge_choices(n, term_budget)
     edges = n * (n - 1) // 2
     count = 0
     marks = list(range(n))
@@ -326,7 +331,7 @@ def svrtan_search(
     two value columns an edge flip touches; tests check it against a
     literal choice_det loop.  ``incremental`` is accepted and ignored.
     """
-    charge(choice_count(inst.n), term_budget, "choice space has too many terms")
+    charge_choices(inst.n, term_budget)
     values, _ = _point_values(inst)
     for bits, d in _point_dets(inst.n, values):
         if d:
@@ -339,23 +344,39 @@ class _SpinorForm(MultilinearForm):
         self.n = n
         super().__init__(Shape((2,) * (n * (n - 1) // 2)), None, f"spinor base-choice det, n={n}")
 
-    def evaluate_columns(self, cols):
+    def fold(self, cols) -> Fold:
         n = self.n
-        acc = [[1] + [0] * (n - 1) for _ in range(n)]
-        for (i, j), (to_i, to_j) in zip(edge_pairs(n), cols):
+        ends = edge_pairs(n)
+        ints = []
+        scale = 1
+        for block in cols:
+            v, s = int_scaled([x for col in block for x in col])
+            ints.append((v[:2], v[2:]))
+            scale *= s * s  # one scaled column reaches each end
+
+        def step(acc: tuple[list[int], ...], e: int, p: int, c: int):
+            a, b = ints[e][c]
+            if not (a or b):
+                return None
+            v = ends[e][p]
+            poly = acc[v]
             # times (a + b t); a vertex has n - 1 edges, so no degree spills over
-            for v, (a, b) in ((i, to_i), (j, to_j)):
-                p = acc[v]
-                acc[v] = [a * p[0]] + [a * x + b * y for x, y in zip(p[1:], p)]
-        return det(Matrix.from_columns(acc))
+            return acc[:v] + ([a * poly[0]] + [a * x + b * y for x, y in zip(poly[1:], poly)],) + acc[v + 1:]
+
+        # vertex polynomials as rows: the transpose has the same determinant
+        start = ([1] + [0] * (n - 1),) * n
+        return Fold(start, step, lambda acc: _int_det([p[:] for p in acc]), scale)
 
 
 def spinor_form(n: int) -> MultilinearForm:
     """The order-n form of shape (2,...,2), one factor per edge.
 
     It evaluates the base-choice determinant of whatever bases the edge
-    matrices carry, columns p1 then p2, multiplying the coefficient lists
-    of each vertex polynomial directly.  Its identity-matrix invariant is n!.
+    matrices carry, columns p1 then p2.  Its fold scales each edge matrix
+    once to integers, keeps the coefficient lists of the n vertex
+    polynomials, multiplies the column a block's position hands each end
+    into that end's list, cuts the subtree of a zero column, and takes one
+    integer determinant per leaf.  Its identity-matrix invariant is n!.
     """
     if n < 2:
         raise DimensionError("the engine recast needs n >= 2 (at least one edge)")

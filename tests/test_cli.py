@@ -3,7 +3,10 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
+import time
 from math import factorial
 
 import pytest
@@ -21,6 +24,9 @@ from altdet.engine import MatrixTuple
 from altdet.exact import Polynomial
 from altdet.perms import Shape
 from altdet.svrtan import Choice, SpinorInstance
+
+
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 
 def invoke(argv):
@@ -151,6 +157,23 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and len(lines[0]) < 200
         assert lines[0].startswith("budget exhausted:")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-onn", "--n", "3000"],
+        ["verify-general", "--shape", "1000000"],
+    ], ids=["verify-onn-3000", "dense-1000000"])
+    def test_bound_refuses_before_the_count_is_built(self, argv):
+        # (3000!)**3000 has about 91 M bits and 1000000**1000000 about 20 M:
+        # a bit-length bound refuses both without building either
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "altdet.cli", *argv], env=_SRC_ENV,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - started
+        assert (done.returncode, done.stdout) == (3, "")
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200
+        assert "(at least a " in lines[0] and "-bit number > budget 100000000)" in lines[0]
+        assert elapsed < 2, f"refusal took {elapsed:.1f}s"
 
     @pytest.mark.parametrize("literal", ["\u0663", "\uff13/\uff14", "4\n"], ids=["arabic-indic", "fullwidth", "newline"])
     def test_non_ascii_digit_entry_is_two(self, literal, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from altdet.engine import (
     DenseTensorForm,
+    Fold,
     MatrixTuple,
     MultilinearForm,
     alternating_sum,
@@ -241,8 +242,10 @@ class TestInvariant:
         seen = []
 
         class Recorder(MultilinearForm):
-            def identity_term(self):
-                return lambda maps: seen.append(maps) or 0
+            def evaluate_columns(self, cols):
+                # at the identity, column s of a block is the unit vector e_s
+                seen.append(tuple(tuple(col.index(1) for col in block) for block in cols))
+                return 0
 
         shape = Shape(sizes)
         assert invariant_at_identity(Recorder(shape, None)) == 0
@@ -256,14 +259,19 @@ class TestInvariant:
         with pytest.raises(BudgetError) as refused:
             charge(6, 5, "x")
         assert str(refused.value) == "x (6 > budget 5)"
+        # a bound past 64 bits and the budget's refuses a count unbuilt; below it the count is built
+        with pytest.raises(BudgetError) as refused:
+            charge(lambda: pytest.fail("count built past its bound"), 10**8, "x", bits=65)
+        assert str(refused.value) == "x (at least a 65-bit number > budget 100000000)"
+        assert charge(lambda: 2**63, 2**64, "x", bits=64) == 2**63
+        with pytest.raises(BudgetError) as refused:
+            charge(lambda: 2**64, 5, "x", bits=64)
+        assert str(refused.value) == "x (a 65-bit number > budget 5)"
 
     def test_budget_is_checked_before_the_term_is_built(self):
         class Unbuildable(MultilinearForm):
-            def column_term(self, A):
-                raise AssertionError("term built past the budget")
-
-            def identity_term(self):
-                raise AssertionError("term built past the budget")
+            def fold(self, cols):
+                raise AssertionError("fold built past the budget")
 
         f = Unbuildable(Shape.of(3, 3), None, "refused before any term")
         A = MatrixTuple.identity(f.shape)
@@ -350,6 +358,75 @@ class TestFastRoutesMatchLiteral:
         assert closure(A) == f(A)
         assert alternating_sum(closure, A) == alternating_sum(f, A)
         assert invariant_at_identity(closure) == invariant_at_identity(f)
+
+
+class DiagonalForm(MultilinearForm):
+    """The product over slots (i, j) of entry (j, j) of matrix i.
+
+    Its alternating sum is the product of the determinants.  The evaluator
+    is the full expansion; the fold multiplies one entry per step, stops at
+    the first zero, and records every leaf it reaches.
+    """
+
+    def __init__(self, shape):
+        super().__init__(
+            shape,
+            lambda B: prod(m.entries[j][j] for m in B.matrices for j in range(m.rows)),
+            "diagonal product",
+        )
+        self.leaves = []
+
+    def fold(self, cols):
+        def step(value, i, j, c):
+            x = cols[i][c][j]
+            return value * x if x else None
+
+        return Fold(1, step, lambda value: self.leaves.append(value) or value)
+
+
+class TestFoldMatchesExpansion:
+    """Folds that cut zero subtrees against their own full expansion and the literal sum."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SUM_SHAPES), st.integers(0, 2**32), st.booleans())
+    def test_pruning_form_matches_full_expansion(self, shape, seed, rational):
+        rng = random.Random(seed)
+
+        def entry():
+            if rng.random() < 0.4:
+                return 0
+            if rational and rng.random() < 0.5:
+                return Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4)))
+            return rng.randint(-4, 4)
+
+        A = MatrixTuple(shape, tuple(Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)]) for n in shape))
+        f = DiagonalForm(shape)
+        expanded = MultilinearForm(shape, f.evaluator, "full expansion")
+        total = alternating_sum(f, A)
+        reached = len(f.leaves)
+        assert total == alternating_sum(expanded, A) == prod(A.determinants)
+        assert total == brute_alternating_sum(lambda mats: f.evaluator(MatrixTuple.of(mats)), A.matrices, literal_act)
+        assert f(A) == f.evaluator(A)
+        # a zero entry (j, c) cuts every term with sigma_i(j) = c
+        if any(0 in row for m in A.matrices for row in m.entries):
+            assert reached < shape.term_count
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(SUM_SHAPES), st.integers(0, 2**32), st.booleans())
+    def test_unit_column_tuples_match_brute(self, shape, seed, rational):
+        # every column a unit vector, repeats allowed: the dense fold reads one coefficient per term
+        f, _ = seeded_dense_case(shape, seed, rational, False)
+        rng = random.Random(seed)
+        A = MatrixTuple(shape, tuple(
+            Matrix.from_columns([[int(r == pick) for r in range(n)] for pick in (rng.randrange(n) for _ in range(n))])
+            for n in shape
+        ))
+        expected = brute_alternating_sum(lambda mats: literal_value(f.coeffs, mats), A.matrices, literal_act)
+        assert alternating_sum(f, A) == expected
+        identity = MatrixTuple.identity(shape).matrices
+        assert invariant_at_identity(f) == brute_alternating_sum(
+            lambda mats: literal_value(f.coeffs, mats), identity, literal_act
+        )
 
 
 class TestPartition:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altdet.engine import invariant_at_identity, verify_identity
+from altdet.engine import MatrixTuple, alternating_sum, invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError, InputError
 from altdet.exact import Matrix, det
 from altdet.onn import (
@@ -28,6 +28,7 @@ from altdet.onn import (
 from altdet.perms import enumerate_product
 
 from oracles import (
+    brute_alternating_sum,
     brute_latin_squares,
     combo_det_rota_search,
     first_row_latin_count,
@@ -154,7 +155,7 @@ class TestColorfulForm:
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 2**32), st.booleans())
-    def test_column_hook_matches_materialized_terms(self, n, seed, rational):
+    def test_evaluation_matches_materialized_terms(self, n, seed, rational):
         rng = random.Random(seed)
 
         def entry():
@@ -165,13 +166,13 @@ class TestColorfulForm:
         A = ColorfulInstance.of(
             [Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(n)]
         ).as_matrix_tuple()
-        term = colorful_form(n).column_term(A)
+        f = colorful_form(n)
         for _, maps in enumerate_product(A.shape):
             moved = [literal_act(invert(m), M) for m, M in zip(maps, A.matrices)]
             expected = prod(
                 laplace_det([[m.entries[r][j] for m in moved] for r in range(n)]) for j in range(n)
             )
-            assert term(maps) == expected
+            assert f(MatrixTuple(A.shape, tuple(moved))) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invariant_is_latin_count(self, n):
@@ -382,6 +383,27 @@ class TestFastRoutesMatchLiteral:
             mats = drawn_colorful(3, rng, rational=True)
         assert leaf_product_colorful_sum(mats) == 0
         self.check_onn(mats, threads=1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(0, 2**32),
+        st.sampled_from(("integer", "rational", "zero column", "repeated column", "permutation")),
+    )
+    def test_colorful_fold_matches_leaf_products_and_brute_sum(self, n, seed, kind):
+        rng = random.Random(seed)
+        if kind == "permutation":
+            mats = permutation_matrices(n, rng)
+        else:
+            mats = drawn_colorful(n, rng, kind == "rational", kind == "zero column", kind == "repeated column")
+        A = ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats).as_matrix_tuple()
+
+        def transversal_product(moved):
+            return prod(laplace_det([[m.entries[r][j] for m in moved] for r in range(n)]) for j in range(n))
+
+        expected = leaf_product_colorful_sum(mats)
+        assert brute_alternating_sum(transversal_product, A.matrices, literal_act) == expected
+        assert alternating_sum(colorful_form(n), A) == expected
 
     @settings(max_examples=24, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32), st.booleans(), st.booleans())

@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from altdet.errors import DimensionError
-from altdet.perms import Shape, enumerate_product
+from altdet.errors import BudgetError, DimensionError
+from altdet.perms import Shape, _floor_log2_factorial, enumerate_product
 
 from oracles import all_mappings, inversion_sign
 
@@ -59,3 +59,27 @@ class TestProduct:
         # the spinor shape at n = 300: 44850 factors of size 2
         assert Shape((2,) * 44850).term_count == 1 << 44850
         assert Shape((3,) * 1000 + (5,)).term_count == factorial(3) ** 1000 * 120
+
+    @pytest.mark.parametrize("n", range(1, 300, 7))
+    def test_factorial_bound_is_below_by_under_a_bit_per_factor(self, n):
+        bound = _floor_log2_factorial(n)
+        assert 2**bound <= factorial(n) < 2 ** (bound + n)
+
+    @pytest.mark.parametrize("sizes", [(1,), (2, 2), (3, 3), (4, 2), (5, 2, 1), (12,), (7, 7, 7)], ids=str)
+    def test_gate_is_exact_at_the_budget(self, sizes):
+        shape = Shape(sizes)
+        for count, gate in ((shape.term_count, shape.charge_terms), (shape.coefficient_count, shape.charge_coefficients)):
+            assert gate(count, "x") == count
+            with pytest.raises(BudgetError) as refused:
+                gate(count - 1, "x")
+            # a count of at most 64 bits is built and printed by its value or bit length
+            assert "at least" not in str(refused.value) or count.bit_length() > 64
+
+    def test_bound_refuses_without_building(self, monkeypatch):
+        monkeypatch.setattr("altdet.perms.factorial", lambda n: pytest.fail("count built past its bound"))
+        with pytest.raises(BudgetError) as refused:
+            Shape((3000,) * 3000).charge_terms(10**8, "x")
+        assert str(refused.value) == "x (at least a 86751001-bit number > budget 100000000)"
+        with pytest.raises(BudgetError) as refused:
+            Shape.of(10**6).charge_coefficients(10**8, "x")
+        assert str(refused.value) == "x (at least a 19000001-bit number > budget 100000000)"

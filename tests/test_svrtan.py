@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altdet.engine import DEFAULT_TERM_BUDGET, invariant_at_identity, verify_identity
+from altdet.engine import (
+    DEFAULT_TERM_BUDGET,
+    MatrixTuple,
+    alternating_sum,
+    invariant_at_identity,
+    verify_identity,
+)
 from altdet.errors import BudgetError, DimensionError
 from altdet.exact import Polynomial, poly_det, poly_mul
 from altdet.perms import Shape, enumerate_product
@@ -449,18 +455,33 @@ class TestEngineRecast:
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 2**32), st.booleans())
-    def test_column_hook_matches_materialized_terms(self, n, seed, rational):
+    def test_evaluation_matches_materialized_terms(self, n, seed, rational):
         rng = random.Random(seed)
         inst = rational_spinor(n, rng) if rational else random_spinor(n, rng)
         form, A = as_engine_instance(inst)
-        term = form.column_term(A)
         for _, maps in enumerate_product(A.shape):
             moved = [literal_act(invert(m), M) for m, M in zip(maps, A.matrices)]
             acc = [Polynomial((1,) + (0,) * (n - 1))] * n
             for (i, j), m in zip(edge_pairs(n), moved):
                 acc[i] = poly_mul(acc[i], Polynomial(m.column(0)), n)
                 acc[j] = poly_mul(acc[j], Polynomial(m.column(1)), n)
-            assert term(maps) == poly_det(acc)
+            assert form(MatrixTuple(A.shape, tuple(moved))) == poly_det(acc)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(3, 4), st.integers(0, 2**32), st.sampled_from(("integer", "rational", "singular", "zero")))
+    def test_fold_matches_literal_choice_sum(self, n, seed, kind):
+        # rational edges scale each edge matrix once, and the scale reaches both ends
+        rng = random.Random(seed)
+        inst = rational_spinor(n, rng) if kind == "rational" else random_spinor(n, rng)
+        if kind == "singular":
+            inst = singular_spinor(n, rng)
+        elif kind == "zero":
+            p1, _ = inst.bases[-1]
+            inst = SpinorInstance(n, inst.bases[:-1] + ((p1, poly(0, 0)),))
+        literal = sum(c.sign * choice_det(inst, c) for c in choices(inst.edge_count))
+        form, A = as_engine_instance(inst)
+        assert alternating_sum(form, A) == literal
+        assert verify_identity(form, A).lhs == literal == verify_svrtan(inst).lhs
 
     def test_invariant_is_factorial(self):
         for n in (2, 3):
