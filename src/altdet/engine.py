@@ -135,9 +135,15 @@ class MultilinearForm:
         evaluate = self.evaluate_columns
         return Fold((), _extend, lambda maps: evaluate([[c[s] for s in m] for c, m in zip(cols, maps)]))
 
+    def _columns(self, A: MatrixTuple) -> list[list[tuple[Scalar, ...]]]:
+        """Each matrix's list of columns, once A is checked to have the form's shape."""
+        if self.shape != A.shape:
+            raise DimensionError(f"form shape {self.shape.sizes} != tuple shape {A.shape.sizes}")
+        return [m.columns() for m in A.matrices]
+
     def __call__(self, A: MatrixTuple) -> Fraction:
         """The value at A: the fold's one path with every sigma_i the identity."""
-        state, step, finish, scale = self.fold([m.columns() for m in A.matrices])
+        state, step, finish, scale = self.fold(self._columns(A))
         for i, n in enumerate(self.shape):
             for j in range(n):
                 state = step(state, i, j, j)
@@ -198,7 +204,10 @@ class DenseTensorForm(MultilinearForm):
 
 
 def _fold_sum(shape: Shape, fold: Fold) -> Fraction:
-    """The signed sum of the fold's leaves over the product group; callers charge its terms at the gate first."""
+    """The signed sum of the fold's leaves over the product group, over its scale.
+
+    Every form's sum and the colorful and spinor direct sums run here; callers charge the terms first.
+    """
     finish = fold.finish
     total: Scalar = 0
     for parity, state in walk(shape, fold.start, fold.step):
@@ -215,10 +224,9 @@ def alternating_sum(
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> Fraction:
     """Exact value of the signed sum of f over all column permutations of A."""
-    if f.shape != A.shape:
-        raise DimensionError(f"form shape {f.shape.sizes} != tuple shape {A.shape.sizes}")
+    cols = f._columns(A)
     A.shape.charge_terms(term_budget, "alternating sum has too many terms")
-    return _fold_sum(A.shape, f.fold([m.columns() for m in A.matrices]))
+    return _fold_sum(A.shape, f.fold(cols))
 
 
 def invariant_at_identity(

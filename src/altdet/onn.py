@@ -26,8 +26,11 @@ identity), as in L(n) = n!(n-1)!R(n) of McKay & Wanless (Ann. Comb. 2005).
 The direct check uses position symmetry: for pi in Sigma_n, the bijection
 (sigma_1,...,sigma_n) -> (sigma_1 pi,...,sigma_n pi) only reorders the
 transversals and multiplies the sign by sgn(pi)**n, so the left side is 0
-for odd n >= 3 and otherwise n! times its part with sigma_1 the identity,
-which sums each tuple's last permutation out in one integer determinant.
+for odd n >= 3 and otherwise n! times its part with sigma_1 the identity.
+That part is a fold on `perms.walk` over sigma_2..sigma_(n-1), summed by
+the engine's signed sum: its state is the n keys into an integer table of
+transversal determinants, and each leaf sums the last permutation out in
+one integer determinant.
 The transversal search drops every partial selection whose picked columns
 are already linearly dependent.
 """
@@ -40,10 +43,10 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterable, Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport
+from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport, _fold_sum
 from .errors import BudgetError, DimensionError, InputError, charge
 from .exact import Matrix, _int_det, det, int_scaled
-from .perms import Shape, _floor_log2_factorial, _pool, _sign
+from .perms import Shape, _floor_log2_factorial, _sign
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
@@ -272,33 +275,32 @@ def _transversal_det_table(inst: ColorfulInstance) -> tuple[list[int], int]:
     return [_int_det([cols[i][c][:] for i, c in enumerate(p)]) for p in picks], scale
 
 
-def _onn_partial(n: int, table: list[int]) -> int:
+def _onn_partial(n: int, table: list[int], scale: int) -> Fraction:
     """Signed sum over the tuples whose first permutation is the identity.
 
     By position symmetry every other tuple repeats one of these terms, with
     the sign times sgn(pi)**n, so the whole sum is n! times this one for
-    even n.  sigma_1 = id sets the per-position table keys k_j to j; levels
-    1..n-2 pick sigma_2..sigma_(n-1) and extend the keys by Horner steps.
-    The last permutation is summed out whole: the sum over sigma_n of
-    sgn(sigma_n) times the product over j of table[k_j*n + sigma_n(j)] is
-    det(M) with M[j][c] = table[k_j*n + c], one integer Bareiss determinant
-    per level-(n-1) node.  For n = 1, sigma_1 is summed out at the root.
+    even n.  sigma_1 = id sets the per-position table keys k_j to j, the
+    fold's start; a step puts sigma_i(j) = c, i = 2..n-1, and extends k_j
+    by one Horner digit, k_j*n + c.  The finish sums the last permutation
+    out whole: the sum over sigma_n of sgn(sigma_n) times the product over
+    j of table[k_j*n + sigma_n(j)] is det(M) with M[j][c] = table[k_j*n + c],
+    one integer Bareiss determinant per leaf, and each of the n table
+    entries of a term carries ``scale``.  For n <= 2 nothing is left to
+    walk: the finish of the start is the sum.
     """
-    pool = _pool(n)
-    last = n - 1
-    total = 0
 
-    def descend(level: int, sign: int, keys: tuple[int, ...]):
-        nonlocal total
-        if level == last:
-            value = _int_det([table[k * n:k * n + n] for k in keys])
-            total += value if sign > 0 else -value
-            return
-        for parity, m in pool:
-            descend(level + 1, sign * parity, tuple(k * n + m[j] for j, k in enumerate(keys)))
+    def finish(keys: tuple[int, ...]) -> int:
+        return _int_det([table[k * n:k * n + n] for k in keys])
 
-    descend(min(1, last), 1, tuple(range(n)))
-    return total
+    def step(keys: tuple[int, ...], i: int, j: int, c: int) -> tuple[int, ...]:
+        # the key of position j leaves the front and comes back extended
+        return keys[1:] + (keys[0] * n + c,)
+
+    start = tuple(range(n))
+    if n <= 2:
+        return Fraction(finish(start), scale**n)
+    return _fold_sum(Shape((n,) * (n - 2)), Fold(start, step, finish, scale**n))
 
 
 def charge_colorful_terms(n: int, budget: int, what: str) -> int:
@@ -330,8 +332,7 @@ def verify_onn(
     if n % 2 and n > 1:
         lhs = Fraction(0)
     else:
-        table, scale = _transversal_det_table(inst)
-        lhs = Fraction(factorial(n) * _onn_partial(n, table), scale**n)
+        lhs = factorial(n) * _onn_partial(n, *_transversal_det_table(inst))
     return SumReport.of(lhs, alon_tarsi_count(n, term_budget=term_budget), inst.determinants, terms)
 
 
@@ -403,37 +404,44 @@ def rota_search(
     determinants, so the first selection is the one the plain
     determinant-per-combo search finds.  Each pick tested is one node
     against the budget.  None means the whole tree was exhausted, which the
-    identity rules out for nonsingular instances with l(n) != 0.
+    identity rules out for nonsingular instances with l(n) != 0.  The
+    search keeps its own stack, one slot per (position, matrix) pair, so no
+    order is too deep for it.
     """
     n = inst.n
     # a positive scale changes no column's span
     cols = [[int_scaled(col)[0] for col in m.columns()] for m in inst.matrices]
     used = [[False] * n for _ in range(n)]
     sel = [[0] * n for _ in range(n)]
+    # slot d picks matrix d % n's column for position d // n; per slot, the
+    # next column to try and the elimination of the position's earlier picks
+    tries = [0] * (n * n)
+    bases: list[list] = [[]] * (n * n)
     nodes = 0
-
-    def position(j: int) -> bool:
-        return j == n or choose(j, 0, [])
-
-    def choose(j: int, i: int, basis: list) -> bool:
-        nonlocal nodes
-        if i == n:
-            return position(j + 1)
-        for c in range(n):
+    d = 0
+    while d < n * n:
+        j, i = divmod(d, n)
+        for c in range(tries[d], n):
             if not used[i][c]:
                 nodes += 1
                 if nodes > node_budget:
                     raise BudgetError("transversal search hit the node cap", count=nodes, budget=node_budget)
-                reduced = _eliminate(cols[i][c], basis)
-                if reduced is None:
-                    continue
-                used[i][c] = True
-                sel[i][j] = c
-                if choose(j, i + 1, basis + [reduced]):
-                    return True
-                used[i][c] = False
-        return False
-
-    if not position(0):
-        return None
+                reduced = _eliminate(cols[i][c], bases[d])
+                if reduced is not None:
+                    break
+        else:
+            # the slot is spent: back up and free the pick above it
+            tries[d] = 0
+            d -= 1
+            if d < 0:
+                return None
+            j, i = divmod(d, n)
+            used[i][sel[i][j]] = False
+            continue
+        used[i][c] = True
+        sel[i][j] = c
+        tries[d] = c + 1
+        d += 1
+        if i + 1 < n:
+            bases[d] = bases[d - 1] + [reduced]
     return TransversalSelection(tuple(map(tuple, sel)))

@@ -2,18 +2,19 @@
 
 A permutation of {0..n-1} is a 0-based mapping tuple, and it travels with
 its sign, +1 or -1, so consumers never recount inversions.  Each Sigma_n is
-enumerated once per size, in lexicographic order from the identity, into a
-cached pool of ``(parity, mapping)`` pairs, and into a cached prefix tree.
-Every sum over the group is exact, so no result depends on that order.
+built once per size, in lexicographic order from the identity, as a cached
+prefix tree.  Every sum over the group is exact, so no result depends on
+that order.
 
 `walk` is the one walker of a product of symmetric groups: a depth-first
 fold over column slots, block by block and, within a block, position by
 position over the column indices not yet used, ascending.  A caller's step
 carries a state down each path and may cut a subtree whose every
 completion is zero; the parity is updated slot by slot.  The leaves come
-in mixed-radix order over the lexicographic pools, rightmost factor
-fastest.  `enumerate_product` is the walk whose state collects the
-mappings, and the engine's alternating sums fold their forms on it.
+in mixed-radix order over lexicographically ordered factors, rightmost
+factor fastest.  `enumerate_product` is the walk whose state collects the
+mappings; the engine's alternating sums and the colorful and spinor
+direct sums are folds on it.
 
 `Shape` counts the terms of a product group and the coefficients of a
 dense form, and charges either to a budget at the size gate, where a cheap
@@ -25,7 +26,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
 from math import factorial, prod
 from typing import Callable, Iterator, TypeVar
 
@@ -39,12 +39,6 @@ def _sign(m: tuple[int, ...]) -> int:
     n = len(m)
     inversions = sum(m[a] > m[b] for a in range(n) for b in range(a + 1, n))
     return -1 if inversions % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def _pool(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """All of Sigma_n as ``(parity, mapping)`` pairs, built once per size."""
-    return tuple((_sign(m), m) for m in permutations(range(n)))
 
 
 def _floor_log2_factorial(n: int) -> int:
@@ -132,7 +126,7 @@ def walk(
     not yet used, ascending, and ``step(state, i, j, c)`` gives the state
     below it, or None when every completion of the path is zero, which
     skips the subtree.  Unpruned leaves come in mixed-radix order over the
-    lexicographic pools, rightmost factor fastest.  Each block walks its
+    lexicographically ordered factors, rightmost factor fastest.  Each block walks its
     `_trie`; the walk keeps its own stack, so no shape is too deep for it.
     """
     sizes = shape.sizes
@@ -177,7 +171,7 @@ def _extend(maps: tuple, i: int, j: int, c: int) -> tuple:
 def enumerate_product(shape: Shape) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
     """``(parity, mappings)`` of every element of the product group, from `walk`.
 
-    Mixed-radix order over the per-factor pools, rightmost factor fastest;
+    Mixed-radix order over the lexicographic factors, rightmost factor fastest;
     the parity is the product of the factor signs.
     """
     return walk(shape, (), _extend)

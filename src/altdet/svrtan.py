@@ -36,11 +36,12 @@ so for a fixed pi the signed sum over choices is a product over edges:
 
 with v1, v2 the scaled values of the edge's (p1, p2).  F comes from those
 values, not as det(p1, p2) * (b - a): that factorization is what proves the
-n! formula, and the check must not assume it.  The walk places vertices in
-order, multiplies in each edge's F when its second end is placed, drops
-zero prefixes, and divides the total once.  It takes at most n! * C(n, 2)
-integer products, not 2^C(n,2) determinants; the budget still counts the
-choices.
+n! formula, and the check must not assume it.  The sum is a fold on
+`perms.walk` over Sigma_n, summed by the engine's signed sum: a step gives
+vertex j its point and multiplies in F_ij for every earlier vertex i, a
+zero prefix cuts its subtree, and the total is divided once.  It takes at
+most n! * C(n, 2) integer products, not 2^C(n,2) determinants; the budget
+still counts the choices.
 
 The census and the search need each term, so they walk the choices in
 reflected-binary order and take one integer determinant per choice.  A
@@ -56,9 +57,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterator
 
-from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport
+from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport, _fold_sum
 from .errors import DimensionError, SelfCheckError, charge
 from .exact import Matrix, Polynomial, _int_det, int_scaled, poly_det, poly_mul
 from .perms import Shape
@@ -181,44 +183,29 @@ def _point_values(inst: SpinorInstance) -> tuple[list, int]:
     return values, divisor
 
 
-def _assignment_sum(n: int, values) -> int:
-    """Sum over point assignments pi of sgn(pi) * prod over i < j of F_ij(pi(i), pi(j)).
+def _assignment_sum(n: int, values, divisor: int) -> Fraction:
+    """Sum over point assignments pi of sgn(pi) * prod over i < j of F_ij(pi(i), pi(j)), divided.
 
     F_ij(a, b) = v1(a) * v2(b) - v2(a) * v1(b) for the edge's value columns
     (v1, v2); this equals the signed sum of the point-value determinants
-    over all choices, for any integer values.  Vertices are placed in
-    order; a point's rank among the free points is its count of inversions
-    against the later vertices, which gives the sign.
+    over all choices, for any integer values.  The fold's state is the
+    points placed so far and the product of their F factors; the total is
+    divided by ``divisor``.
     """
     # cross[j][i][a][b] = F_ij(a, b); edges arrive with i ascending for each j
     cross = [[] for _ in range(n)]
     for (_, j), (v1, v2) in zip(edge_pairs(n), values):
         cross[j].append([[a1 * b2 - a2 * b1 for b1, b2 in zip(v1, v2)] for a1, a2 in zip(v1, v2)])
-    points = []
-    last = n - 1
 
-    def place(k: int, prefix: int, free: list[int]) -> int:
-        rows = [table[a] for table, a in zip(cross[k], points)]
-        if k == last:
-            b = free[0]
-            for row in rows:
-                prefix *= row[b]
-            return prefix
-        total = 0
-        for rank, b in enumerate(free):
-            term = prefix
-            for row in rows:
-                term *= row[b]
-                if not term:
-                    break
-            if term:
-                points.append(b)
-                sub = place(k + 1, term, free[:rank] + free[rank + 1:])
-                points.pop()
-                total += -sub if rank & 1 else sub
-        return total
+    def step(state: tuple[tuple[int, ...], int], _: int, j: int, b: int):
+        points, prefix = state
+        for table, a in zip(cross[j], points):
+            prefix *= table[a][b]
+            if not prefix:
+                return None
+        return points + (b,), prefix
 
-    return place(0, 1, list(range(n)))
+    return _fold_sum(Shape((n,)), Fold(((), 1), step, itemgetter(1), divisor))
 
 
 def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
@@ -292,9 +279,8 @@ def verify_svrtan(
     ``threads`` is accepted and ignored, as by every sum.
     """
     terms = charge_choices(inst.n, term_budget)
-    values, divisor = _point_values(inst)
-    total = _assignment_sum(inst.n, values)
-    return SumReport.of(Fraction(total, divisor), factorial(inst.n), inst.edge_dets, terms)
+    lhs = _assignment_sum(inst.n, *_point_values(inst))
+    return SumReport.of(lhs, factorial(inst.n), inst.edge_dets, terms)
 
 
 def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:

@@ -380,6 +380,12 @@ class TestCommands:
         assert len(doc["witness"]["picks"]) == 3
         assert set(doc["witness"]["picks"]) <= {"p1", "p2"}
 
+    def test_rota_search_at_order_31(self):
+        # 31 * 31 nested picks, past the default limit of 1000 Python frames
+        code, out, _ = invoke(["rota-search", "--n", "31", "--seed", "1"])
+        assert code == 0
+        assert out.rstrip().endswith("verdict: PASS")
+
     @pytest.mark.parametrize("n, note", [
         (6, "nonsingular input and l(6) = 199065600 != 0: success guaranteed"),
         (7, "l(7) = 0: success not guaranteed despite nonsingular input"),

@@ -23,6 +23,7 @@ from altdet.engine import (
 )
 from altdet.errors import BudgetError, DimensionError, charge
 from altdet.exact import Matrix
+from altdet.onn import colorful_form
 from altdet.perms import Shape, enumerate_product
 
 from oracles import brute_alternating_sum, literal_act, literal_dense_eval
@@ -203,10 +204,16 @@ class TestAlternatingSum:
         )
         assert alternating_sum(f, A) == 0
 
-    def test_shape_mismatch(self):
-        f = DenseTensorForm(Shape.of(2), [1, 0, 0, 1])
+    @pytest.mark.parametrize("form, shape", [
+        (DenseTensorForm(Shape.of(2), [1, 0, 0, 1]), Shape.of(3)),
+        (DenseTensorForm(Shape.of(2, 2), [1] * 16), Shape.of(3)),
+        (colorful_form(2), Shape.of(3, 3)),
+    ], ids=["dense-2-on-3", "dense-2,2-on-3", "colorful-2-on-3,3"])
+    def test_shape_mismatch(self, form, shape):
         with pytest.raises(DimensionError):
-            alternating_sum(f, MatrixTuple.identity(Shape.of(3)))
+            alternating_sum(form, MatrixTuple.identity(shape))
+        with pytest.raises(DimensionError):
+            form(MatrixTuple.identity(shape))
 
     def test_term_budget(self):
         f = DenseTensorForm(Shape.of(3), [0] * 27)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from altdet.engine import MatrixTuple, alternating_sum, invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError, InputError
 from altdet.exact import Matrix, det
+from altdet.instances import SplitMix64, random_colorful_instance
 from altdet.onn import (
     LATIN_SQUARE_COUNTS,
     ColorfulInstance,
@@ -282,6 +283,12 @@ class TestRotaSearch:
             inst = random_colorful(n, rng, nonsingular=True)
             sel = rota_search(inst)
             assert sel is not None and sel.is_valid_for(inst)
+
+    def test_order_31_needs_no_deep_recursion(self):
+        # 31 * 31 nested picks, past the default limit of 1000 Python frames
+        inst = random_colorful_instance(31, SplitMix64(1))
+        sel = rota_search(inst)
+        assert sel is not None and sel.is_valid_for(inst)
 
     def test_node_budget(self):
         rng = random.Random(73)

@@ -5,8 +5,10 @@ from math import factorial
 
 import pytest
 
+from altdet import engine, onn, perms, svrtan
 from altdet.errors import BudgetError, DimensionError
-from altdet.perms import Shape, _floor_log2_factorial, enumerate_product
+from altdet.instances import SplitMix64, random_colorful_instance, random_spinor_instance
+from altdet.perms import Shape, _floor_log2_factorial, enumerate_product, walk
 
 from oracles import all_mappings, inversion_sign
 
@@ -83,3 +85,24 @@ class TestProduct:
         with pytest.raises(BudgetError) as refused:
             Shape.of(10**6).charge_coefficients(10**8, "x")
         assert str(refused.value) == "x (at least a 19000001-bit number > budget 100000000)"
+
+
+class TestOneWalker:
+    """The colorful and spinor direct sums are folds on `walk`, the one enumeration of Sigma_n."""
+
+    def test_direct_sums_go_through_walk(self, monkeypatch):
+        shapes = []
+
+        def spy(shape, start, step):
+            shapes.append(shape.sizes)
+            return walk(shape, start, step)
+
+        for module in (perms, engine, onn, svrtan):
+            if getattr(module, "walk", None) is walk:
+                monkeypatch.setattr(module, "walk", spy)
+        assert onn.verify_onn(random_colorful_instance(4, SplitMix64(2))).verdict
+        # sigma_1 is fixed and sigma_4 summed out at each leaf
+        assert shapes == [(4, 4)]
+        shapes.clear()
+        assert svrtan.verify_svrtan(random_spinor_instance(4, SplitMix64(1))).verdict
+        assert shapes == [(4,)]

@@ -221,14 +221,14 @@ class TestChoicePolys:
 class TestPointWalk:
     """The point-value walker and verify_svrtan's regrouped sum against the literal route."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_integer_instances(self, n):
         rng = random.Random(200 + n)
         for _ in range(4 if n < 5 else 2):
             inst = random_spinor(n, rng, nonsingular=False)
             assert walker_sum(inst) == verify_svrtan(inst).lhs == literal_sum(inst)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rational_instances(self, n):
         rng = random.Random(210 + n)
         for _ in range(4):
@@ -277,7 +277,7 @@ class TestRegroupedSum:
     @given(value_tables(5))
     def test_matches_walker_on_arbitrary_values(self, table):
         n, values = table
-        assert _assignment_sum(n, values) == signed_walk(n, values)
+        assert _assignment_sum(n, values, 1) == signed_walk(n, values)
 
     @pytest.mark.parametrize(
         "n,budget", [(6, DEFAULT_TERM_BUDGET), (7, DEFAULT_TERM_BUDGET), (8, 2**28)]
