@@ -177,10 +177,6 @@ class Polynomial:
             raise DimensionError("polynomial needs a coefficient tuple of length >= 1")
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "Polynomial":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def zero(cls, ambient: int) -> "Polynomial":
         return cls((0,) * ambient)
 

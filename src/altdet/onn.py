@@ -46,7 +46,7 @@ from typing import Iterable, Iterator
 from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport, _fold_sum
 from .errors import BudgetError, DimensionError, InputError, charge
 from .exact import Matrix, _int_det, det, int_scaled
-from .perms import Shape, _floor_log2_factorial, _sign
+from .perms import Shape, _extend, _floor_log2_factorial, _sign, walk
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
@@ -90,31 +90,22 @@ def latin_sign(square: LatinSquare) -> int:
 
 
 def latin_squares(n: int) -> Iterator[LatinSquare]:
-    """All order-n Latin squares, cells filled row-major with values ascending."""
+    """All order-n Latin squares, cells filled row-major with values ascending.
+
+    A fold on `perms.walk` over Sigma_n^n, one block per row: the state is
+    the rows so far, and a step that puts a value in a column where an
+    earlier row already has it cuts the subtree.
+    """
     if n < 1:
         raise DimensionError("Latin squares need order >= 1")
-    full = (1 << n) - 1
-    cols = [0] * n
-    grid = [[0] * n for _ in range(n)]
 
-    def fill(r: int, c: int, row_mask: int) -> Iterator[LatinSquare]:
-        if c == n:
-            if r + 1 == n:
-                yield LatinSquare.from_rows(grid)
-            else:
-                yield from fill(r + 1, 0, 0)
-            return
-        avail = full & ~row_mask & ~cols[c]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            grid[r][c] = v
-            cols[c] |= bit
-            yield from fill(r, c + 1, row_mask | bit)
-            cols[c] ^= bit
+    def step(rows: tuple, i: int, j: int, c: int):
+        if any(row[j] == c for row in rows[:i]):
+            return None
+        return _extend(rows, i, j, c)
 
-    yield from fill(0, 0, 0)
+    for _, rows in walk(Shape((n,) * n), (), step):
+        yield LatinSquare(rows)
 
 
 def _signed_completions(

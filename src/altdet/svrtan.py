@@ -19,8 +19,9 @@ With every basis (1, t), a choice contributes iff the t-multiplicities of
 the vertices are a permutation of 0..n-1, i.e. the induced orientation is
 a transitive tournament; exactly n! choices survive, one per vertex order.
 
-The sum, the census and the search evaluate instead: the values of
-p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the coefficient
+Every fast route evaluates instead, from one encoding, `_point_values`:
+the sum, the census, the search and the engine's spinor form.  The values
+of p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the coefficient
 matrix, so each determinant gains the factor prod over a < b of (b - a).
 Scaling each basis element by the lcm of its denominators makes every
 value an integer and multiplies every term by the same product of scales,
@@ -333,36 +334,32 @@ class _SpinorForm(MultilinearForm):
     def fold(self, cols) -> Fold:
         n = self.n
         ends = edge_pairs(n)
-        ints = []
-        scale = 1
-        for block in cols:
-            v, s = int_scaled([x for col in block for x in col])
-            ints.append((v[:2], v[2:]))
-            scale *= s * s  # one scaled column reaches each end
+        bases = tuple((Polynomial(p1), Polynomial(p2)) for p1, p2 in cols)
+        values, divisor = _point_values(SpinorInstance(n, bases))
 
         def step(acc: tuple[list[int], ...], e: int, p: int, c: int):
-            a, b = ints[e][c]
-            if not (a or b):
+            col = values[e][c]
+            # n >= 2 points: only the zero element has an all-zero column
+            if not any(col):
                 return None
             v = ends[e][p]
-            poly = acc[v]
-            # times (a + b t); a vertex has n - 1 edges, so no degree spills over
-            return acc[:v] + ([a * poly[0]] + [a * x + b * y for x, y in zip(poly[1:], poly)],) + acc[v + 1:]
+            return acc[:v] + ([x * y for x, y in zip(acc[v], col)],) + acc[v + 1:]
 
-        # vertex polynomials as rows: the transpose has the same determinant
-        start = ([1] + [0] * (n - 1),) * n
-        return Fold(start, step, lambda acc: _int_det([p[:] for p in acc]), scale)
+        # value columns as rows: the transpose has the same determinant
+        return Fold(([1] * n,) * n, step, lambda acc: _int_det([col[:] for col in acc]), divisor)
 
 
 def spinor_form(n: int) -> MultilinearForm:
     """The order-n form of shape (2,...,2), one factor per edge.
 
     It evaluates the base-choice determinant of whatever bases the edge
-    matrices carry, columns p1 then p2.  Its fold scales each edge matrix
-    once to integers, keeps the coefficient lists of the n vertex
-    polynomials, multiplies the column a block's position hands each end
-    into that end's list, cuts the subtree of a zero column, and takes one
-    integer determinant per leaf.  Its identity-matrix invariant is n!.
+    matrices carry, columns p1 then p2.  Its fold reads the edges' scaled
+    values from `_point_values`, once per sum.  The state is the n vertex
+    value columns; a step multiplies the value column a block's position
+    hands an end into that end's column, point by point, and a zero basis
+    element cuts its subtree.  Each leaf takes one integer determinant of
+    the value columns, and the divisor of `_point_values` is the scale.
+    Its identity-matrix invariant is n!.
     """
     if n < 2:
         raise DimensionError("the engine recast needs n >= 2 (at least one edge)")

@@ -5,7 +5,11 @@ inputs, on the instance files in ``tests/data`` (the three README examples
 and three singular ones) and on a few inputs that exit 2 or 3 before any
 report.  ``test_golden_reports.py`` replays them and compares byte for byte.
 
-    PYTHONPATH=src python tests/golden_reports.py   # rewrite the golden file
+    PYTHONPATH=src python tests/golden_reports.py           # rewrite the golden file
+    PYTHONPATH=src python tests/golden_reports.py --check   # compare, exit 1 on a mismatch
+
+``--check`` needs only the standard library, so it runs on interpreters
+without pytest.
 """
 
 import io
@@ -103,7 +107,29 @@ def golden_runs():
             yield argv + ["--format", fmt]
 
 
-def main():
+def check():
+    """Replay every run against the golden file; print the argv of each mismatch, and return their count."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = {tuple(r["argv"]): (r["exit"], r["stdout"]) for r in json.load(fh)}
+    runs = list(golden_runs())
+    mismatches = 0
+    for argv in runs:
+        if capture(argv) != golden.get(tuple(argv)):
+            mismatches += 1
+            print("mismatch:", " ".join(argv))
+    for argv in golden.keys() - {tuple(argv) for argv in runs}:
+        mismatches += 1
+        print("no longer run:", " ".join(argv))
+    print(f"{mismatches} mismatches out of {len(golden)} golden runs", file=sys.stderr)
+    return mismatches
+
+
+def main(args):
+    if args == ["--check"]:
+        return 1 if check() else 0
+    if args:
+        print("usage: golden_reports.py [--check]", file=sys.stderr)
+        return 2
     runs = []
     for argv in golden_runs():
         code, stdout = capture(argv)
@@ -112,7 +138,8 @@ def main():
         json.dump(runs, fh, indent=1)
         fh.write("\n")
     print(f"wrote {len(runs)} runs to {GOLDEN}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

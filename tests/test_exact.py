@@ -175,26 +175,26 @@ class TestPolynomial:
         assert z.is_zero and z.ambient == 3
         with pytest.raises(ValueError):
             z.degree
-        assert Polynomial.from_coeffs((0, 5, 0)).degree == 1
+        assert Polynomial((0, 5, 0)).degree == 1
 
     def test_evaluate(self):
-        p = Polynomial.from_coeffs((1, -2, 3))
+        p = Polynomial((1, -2, 3))
         assert p(0) == 1
         assert p(2) == 1 - 4 + 12
         assert p(Fraction(1, 2)) == 1 - 1 + Fraction(3, 4)
 
     def test_mul(self):
-        a = Polynomial.from_coeffs((1, 1))
-        b = Polynomial.from_coeffs((1, -1))
+        a = Polynomial((1, 1))
+        b = Polynomial((1, -1))
         assert poly_mul(a, b, 3).coeffs == (1, 0, -1)
 
     def test_mul_overflow(self):
-        a = Polynomial.from_coeffs((0, 1))
+        a = Polynomial((0, 1))
         with pytest.raises(DimensionError):
             poly_mul(a, a, 2)
 
     def test_mul_zero_short_circuits(self):
-        a = Polynomial.from_coeffs((0, 0, 1))
+        a = Polynomial((0, 0, 1))
         z = Polynomial.zero(3)
         # degree would overflow if multiplied literally, but zero absorbs
         assert poly_mul(a, z, 3).is_zero
@@ -205,33 +205,33 @@ class TestPolynomial:
         st.integers(-3, 3),
     )
     def test_mul_agrees_with_evaluation(self, ac, bc, t):
-        a = Polynomial.from_coeffs(ac)
-        b = Polynomial.from_coeffs(bc)
+        a = Polynomial(tuple(ac))
+        b = Polynomial(tuple(bc))
         prod = poly_mul(a, b, len(ac) + len(bc))
         assert prod(t) == a(t) * b(t)
 
     def test_str(self):
-        assert str(Polynomial.from_coeffs((1, 0, -2))) == "1 + -2*t^2"
+        assert str(Polynomial((1, 0, -2))) == "1 + -2*t^2"
         assert str(Polynomial.zero(2)) == "0"
-        assert str(Polynomial.from_coeffs((0, 1))) == "t"
+        assert str(Polynomial((0, 1))) == "t"
 
 
 class TestPolyDet:
     def test_monomial_basis(self):
-        ps = [Polynomial.from_coeffs(tuple(1 if d == i else 0 for d in range(3))) for i in range(3)]
+        ps = [Polynomial(tuple(1 if d == i else 0 for d in range(3))) for i in range(3)]
         assert poly_det(ps) == 1
 
     def test_dependent_is_zero(self):
-        p = Polynomial.from_coeffs((1, 2))
-        q = Polynomial.from_coeffs((2, 4))
+        p = Polynomial((1, 2))
+        q = Polynomial((2, 4))
         assert poly_det([p, q]) == 0
 
     def test_two_by_two(self):
-        p = Polynomial.from_coeffs((1, 1))
-        q = Polynomial.from_coeffs((1, -1))
+        p = Polynomial((1, 1))
+        q = Polynomial((1, -1))
         # | 1  1 ; 1 -1 | = -2
         assert poly_det([p, q]) == -2
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            poly_det([Polynomial.from_coeffs((1, 2, 3)), Polynomial.from_coeffs((1, 2, 3))])
+            poly_det([Polynomial((1, 2, 3)), Polynomial((1, 2, 3))])

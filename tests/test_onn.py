@@ -91,6 +91,8 @@ class TestLatinSquare:
         ours = {sq.grid for sq in latin_squares(n)}
         assert len(ours) == count
         assert ours == set(brute_latin_squares(n))
+        # row-major with values ascending, the brute force's order
+        assert [sq.grid for sq in latin_squares(n)] == brute_latin_squares(n)
 
     def test_order_3_signs_split_evenly(self):
         signs = [latin_sign(sq) for sq in latin_squares(3)]

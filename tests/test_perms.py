@@ -88,7 +88,7 @@ class TestProduct:
 
 
 class TestOneWalker:
-    """The colorful and spinor direct sums are folds on `walk`, the one enumeration of Sigma_n."""
+    """The colorful and spinor direct sums and the Latin squares are folds on `walk`, the one enumeration of Sigma_n."""
 
     def test_direct_sums_go_through_walk(self, monkeypatch):
         shapes = []
@@ -106,3 +106,7 @@ class TestOneWalker:
         shapes.clear()
         assert svrtan.verify_svrtan(random_spinor_instance(4, SplitMix64(1))).verdict
         assert shapes == [(4,)]
+        shapes.clear()
+        # one block per row
+        assert len(list(onn.latin_squares(3))) == 12
+        assert shapes == [(3, 3, 3)]
