@@ -117,7 +117,12 @@ class Matrix:
 
 
 def _int_det(a: list[list[int]]) -> int:
-    """Bareiss elimination on an integer matrix, destroying ``a``."""
+    """Bareiss elimination on an integer matrix, destroying ``a``.
+
+    A row whose entry in the pivot column is 0 is skipped while the pivot
+    equals the previous one: its update (x*pivot - 0*y) // prev is then x,
+    so every entry stays as it is.
+    """
     n = len(a)
     sign = 1
     prev = 1
@@ -135,6 +140,8 @@ def _int_det(a: list[list[int]]) -> int:
         for i in range(k + 1, n):
             row_i = a[i]
             factor = row_i[k]
+            if not factor and pivot == prev:
+                continue
             for j in range(k + 1, n):
                 # exact integer division, guaranteed by the Bareiss identity
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev

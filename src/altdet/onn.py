@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport, _fold_sum
 from .errors import BudgetError, DimensionError, InputError, charge
@@ -71,10 +71,6 @@ class LatinSquare:
         for j in range(n):
             if sorted(row[j] for row in self.grid) != marks:
                 raise InputError(f"column {j} is not a permutation of 0..{n - 1}")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LatinSquare":
-        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -367,12 +363,15 @@ def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> tuple[int,
     the rows before it.  Step t maps v to (p_t*v - v[pivot_t]*row_t) / p_(t-1),
     with p the row pivots and p_(-1) = 1; the division is exact because every
     entry is then a minor of the picked columns (Sylvester's identity).
+    A step with v[pivot_t] = 0 and p_t = p_(t-1) is the identity map, so
+    it builds no row.
     """
     v = col
     prev = 1
     for p, row in basis:
         pivot, f = row[p], v[p]
-        v = [(x * pivot - f * y) // prev for x, y in zip(v, row)]
+        if f or pivot != prev:
+            v = [(x * pivot - f * y) // prev for x, y in zip(v, row)]
         prev = pivot
     for p, x in enumerate(v):
         if x:

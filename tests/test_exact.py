@@ -157,6 +157,28 @@ class TestDet:
     def test_int_fast_path_matches_laplace(self, rows):
         assert _int_det([row[:] for row in rows]) == laplace_det(rows)
 
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.one_of(
+                *(
+                    st.lists(st.lists(st.sampled_from(entries), min_size=n, max_size=n), min_size=n, max_size=n)
+                    for entries in ((-1, 0, 1), (0, 1, 2))
+                ),
+                st.permutations(range(n)).map(lambda p: [[int(p[r] == c) for c in range(n)] for r in range(n)]),
+            )
+        )
+    )
+    def test_int_det_on_small_entries_matches_laplace(self, rows):
+        # zero factors under an unchanged pivot skip their row; these inputs hit that often
+        assert _int_det([row[:] for row in rows]) == laplace_det(rows)
+
+    def test_zero_factor_under_a_new_pivot_is_still_scaled(self):
+        # at k = 1 the pivot is 2 and the previous one 1; row 2 has a 0 in
+        # column 1 but still needs its scaling by 2, or the result reads 2
+        rows = [[1, 0, 0], [0, 2, 0], [0, 0, 2]]
+        assert laplace_det(rows) == 4
+        assert _int_det([row[:] for row in rows]) == 4
+
     @given(st.lists(st.one_of(rationals, st.integers(-9, 9)), min_size=1, max_size=6))
     def test_int_scaled_is_exact_and_least(self, values):
         ints, scale = int_scaled(values)

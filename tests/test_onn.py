@@ -57,19 +57,19 @@ def random_colorful(n, rng, lo=-5, hi=5, nonsingular=False):
 
 class TestLatinSquare:
     def test_valid(self):
-        sq = LatinSquare.from_rows([[0, 1], [1, 0]])
+        sq = LatinSquare(((0, 1), (1, 0)))
         assert sq.n == 2
 
     def test_rejects_bad_rows_and_columns(self):
         with pytest.raises(InputError):
-            LatinSquare.from_rows([[0, 0], [1, 1]])
+            LatinSquare(((0, 0), (1, 1)))
         with pytest.raises(InputError):
-            LatinSquare.from_rows([[0, 1], [0, 1]])
+            LatinSquare(((0, 1), (0, 1)))
         with pytest.raises(DimensionError):
-            LatinSquare.from_rows([[0, 1]])
+            LatinSquare(((0, 1),))
 
     def test_sign_order_1_and_2(self):
-        assert latin_sign(LatinSquare.from_rows([[0]])) == 1
+        assert latin_sign(LatinSquare(((0,),))) == 1
         both = [latin_sign(sq) for sq in latin_squares(2)]
         assert both == [1, 1]
 
@@ -106,7 +106,7 @@ class TestAlonTarsi:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_square_by_square_sum(self, n):
-        expected = sum(latin_sign(LatinSquare.from_rows(sq)) for sq in brute_latin_squares(n))
+        expected = sum(latin_sign(LatinSquare(sq)) for sq in brute_latin_squares(n))
         assert alon_tarsi_count(n) == expected
 
     def test_threaded_agrees(self):
@@ -346,6 +346,16 @@ def permutation_matrices(n, rng):
     return mats
 
 
+def zero_one_matrices(n, rng):
+    """n nonsingular n x n 0/1 matrices, each redrawn until its det is nonzero."""
+    mats = []
+    while len(mats) < n:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        if laplace_det(rows):
+            mats.append(rows)
+    return mats
+
+
 class TestFastRoutesMatchLiteral:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_orbit_count_equals_first_row_dfs(self, n):
@@ -430,7 +440,7 @@ class TestFastRoutesMatchLiteral:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(("random", "repeated column", "zero column", "permutation")),
+        st.sampled_from(("random", "repeated column", "zero column", "permutation", "zero-one")),
         st.integers(1, 6),
         st.integers(0, 2**32),
     )
@@ -438,6 +448,9 @@ class TestFastRoutesMatchLiteral:
         rng = random.Random(seed)
         if kind == "permutation":
             mats = permutation_matrices(n, rng)
+        elif kind == "zero-one":
+            # elimination pivots reach 2 and up, so zero factors meet changed pivots
+            mats = zero_one_matrices(n, rng)
         elif kind == "zero column":
             # every selection fails, so both searches walk the whole tree: keep it small
             mats = drawn_colorful(min(n, 3), rng, rational=True, zero_column=True)
