@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, reports, exit codes.
 
-Every subcommand prints one report to standard output, in a plain text
-layout or as a single JSON document, and nothing else there.  Timing goes
-to standard error, so reports are byte-identical for a fixed seed.
+Every subcommand prints one report to standard output, and nothing else
+there.  The report is a JSON document, printed as it is by ``--format
+json``; the text layout prints the same fields, one line each, with the
+verdict last.  Timing goes to standard error, so reports are
+byte-identical for a fixed seed.
 ``--threads`` is accepted and validated, and every command runs serially.
 Handlers read the parsed ``argparse.Namespace`` directly.
 Exit codes: 0 when the checked identity holds or a search finds a
@@ -16,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -44,7 +45,6 @@ from .onn import (
     MAX_FULL_ORDER,
     ColorfulInstance,
     alon_tarsi_count,
-    charge_colorful_terms,
     colorful_form,
     rota_search,
     verify_onn,
@@ -62,63 +62,6 @@ from .svrtan import (
 )
 
 MAX_SEED = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class Report:
-    """What a run found; the elapsed time goes to stderr, not in the report."""
-
-    command: str
-    digest: str
-    lhs: Fraction
-    rhs: Fraction
-    seed: int | None = None
-    term_count: int | None = None
-    witness: dict | None = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def verdict(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_doc(self) -> dict:
-        doc: dict = {"command": self.command, "digest": self.digest}
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        doc["lhs"] = format_rational(self.lhs)
-        doc["rhs"] = format_rational(self.rhs)
-        doc["verdict"] = self.verdict
-        if self.term_count is not None:
-            doc["term_count"] = self.term_count
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        if self.notes:
-            doc["notes"] = list(self.notes)
-        return doc
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"digest: {self.digest}"]
-        if self.seed is not None:
-            lines.append(f"seed: {self.seed}")
-        lines.append(f"lhs = {format_rational(self.lhs)}")
-        lines.append(f"rhs = {format_rational(self.rhs)}")
-        if self.term_count is not None:
-            lines.append(f"terms: {self.term_count}")
-        if self.witness is not None:
-            lines.extend(_witness_text(self.witness))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        lines.append(f"verdict: {'PASS' if self.verdict else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def _witness_text(witness: dict) -> list[str]:
-    if witness["kind"] == "selection":
-        return [
-            f"sigma[{i + 1}]: " + " ".join(str(v) for v in row)
-            for i, row in enumerate(witness["maps"])
-        ]
-    return [f"choice bits: {witness['bits']}", f"picks: {' '.join(witness['picks'])}"]
 
 
 def _need(args: argparse.Namespace, what: str):
@@ -158,10 +101,25 @@ def _sum_report(
     *,
     seed: int | None = None,
     term_count: int | None = None,
-) -> tuple[Report, int]:
-    """The report of a two-sided check; it exits 0 when the sides agree."""
-    report = Report(args.command, digest, lhs, rhs, seed=seed, term_count=term_count, notes=tuple(notes))
-    return report, 0 if report.verdict else 1
+    witness: dict | None = None,
+) -> tuple[dict, int]:
+    """The report of a two-sided check and its exit code, 0 when the sides agree.
+
+    The report is the JSON document ``--format json`` prints: its keys in
+    print order, absent ones left out, and its values already formatted.
+    """
+    doc = {
+        "command": args.command,
+        "digest": digest,
+        "seed": seed,
+        "lhs": format_rational(lhs),
+        "rhs": format_rational(rhs),
+        "verdict": lhs == rhs,
+        "term_count": term_count,
+        "witness": witness,
+        "notes": notes or None,
+    }
+    return {key: value for key, value in doc.items() if value is not None}, 0 if lhs == rhs else 1
 
 
 def _search_report(
@@ -171,7 +129,7 @@ def _search_report(
     witness: dict | None,
     guaranteed: bool,
     notes: list[str],
-) -> tuple[Report, int]:
+) -> tuple[dict, int]:
     """The report of a search: found (lhs 1) against guaranteed (rhs 1).
 
     It exits 0 when a witness was found and 1 when the search exhausted.
@@ -180,19 +138,31 @@ def _search_report(
     if not found:
         bug = "exhausted despite a guarantee: this indicates a bug"
         notes = notes + [bug if guaranteed else "search exhausted"]
-    report = Report(
-        args.command,
-        doc_digest(instance_to_doc(inst)),
-        lhs=Fraction(found),
-        rhs=Fraction(found or guaranteed),
-        seed=seed,
-        witness=witness,
-        notes=tuple(notes),
-    )
-    return report, 0 if found else 1
+    digest = doc_digest(instance_to_doc(inst))
+    lhs, rhs = Fraction(found), Fraction(found or guaranteed)
+    doc, _ = _sum_report(args, digest, lhs, rhs, notes, seed=seed, witness=witness)
+    return doc, 0 if found else 1
 
 
-def cmd_verify_general(args: argparse.Namespace) -> tuple[Report, int]:
+# the report fields that print as one labelled line each, in the document's order
+_TEXT_LABELS = {"command": "command: ", "digest": "digest: ", "seed": "seed: ",
+                "lhs": "lhs = ", "rhs": "rhs = ", "term_count": "terms: "}
+
+
+def report_text(doc: dict) -> str:
+    """A report document in the text layout: its fields in order, then the witness, notes and verdict."""
+    lines = [_TEXT_LABELS[key] + str(value) for key, value in doc.items() if key in _TEXT_LABELS]
+    witness = doc.get("witness")
+    if witness is not None and witness["kind"] == "selection":
+        lines += [f"sigma[{i}]: " + " ".join(map(str, row)) for i, row in enumerate(witness["maps"], 1)]
+    elif witness is not None:
+        lines += [f"choice bits: {witness['bits']}", "picks: " + " ".join(witness["picks"])]
+    lines += [f"note: {note}" for note in doc.get("notes", [])]
+    lines.append("verdict: " + ("PASS" if doc["verdict"] else "FAIL"))
+    return "\n".join(lines)
+
+
+def cmd_verify_general(args: argparse.Namespace) -> tuple[dict, int]:
     rng = SplitMix64(args.seed)
     if args.input:
         A = _load_typed(args, MatrixTuple, "matrix-tuple")
@@ -209,7 +179,7 @@ def cmd_verify_general(args: argparse.Namespace) -> tuple[Report, int]:
     return _sum_report(args, digest, rep.lhs, rep.rhs, notes, seed=args.seed, term_count=rep.term_count)
 
 
-def cmd_invariant(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_invariant(args: argparse.Namespace) -> tuple[dict, int]:
     family, n = args.family, args.n
     if family == "dense":
         if args.shape is None:
@@ -236,7 +206,7 @@ def cmd_invariant(args: argparse.Namespace) -> tuple[Report, int]:
     return _sum_report(args, doc_digest(inputs), lhs, rhs, [note], seed=seed, term_count=form.shape.term_count)
 
 
-def cmd_alon_tarsi(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_alon_tarsi(args: argparse.Namespace) -> tuple[dict, int]:
     lhs = Fraction(alon_tarsi_count(args.n, term_budget=args.term_budget))
     if args.cross_check:
         rhs = invariant_at_identity(colorful_form(args.n), term_budget=args.term_budget)
@@ -247,8 +217,9 @@ def cmd_alon_tarsi(args: argparse.Namespace) -> tuple[Report, int]:
     return _sum_report(args, doc_digest({"n": args.n}), lhs, rhs, [note])
 
 
-def cmd_verify_onn(args: argparse.Namespace) -> tuple[Report, int]:
-    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance, charge_colorful_terms)
+def cmd_verify_onn(args: argparse.Namespace) -> tuple[dict, int]:
+    inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance,
+                                 lambda n, budget, what: Shape((n,) * n).charge_terms(budget, what))
     rep = verify_onn(inst, term_budget=args.term_budget)
     notes = [f"signed Latin count l({inst.n}) = {rep.latin_count}"]
     if not inst.is_nonsingular:
@@ -257,7 +228,7 @@ def cmd_verify_onn(args: argparse.Namespace) -> tuple[Report, int]:
     return _sum_report(args, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
 
 
-def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_rota_search(args: argparse.Namespace) -> tuple[dict, int]:
     inst, seed = _instance_input(args, ColorfulInstance, "colorful", random_colorful_instance, None)
     sel = rota_search(inst, node_budget=args.node_budget)
     notes: list[str] = []
@@ -283,7 +254,7 @@ def cmd_rota_search(args: argparse.Namespace) -> tuple[Report, int]:
     return _search_report(args, inst, seed, witness, guaranteed, notes)
 
 
-def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[dict, int]:
     inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, charge_choices)
     rep = verify_svrtan(inst, term_budget=args.term_budget)
     notes = [] if inst.is_nonsingular else ["input has a singular edge basis: right-hand side vanishes"]
@@ -291,7 +262,7 @@ def cmd_verify_svrtan(args: argparse.Namespace) -> tuple[Report, int]:
     return _sum_report(args, digest, rep.lhs, rep.rhs, notes, seed=seed, term_count=rep.term_count)
 
 
-def cmd_svrtan_search(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_svrtan_search(args: argparse.Namespace) -> tuple[dict, int]:
     inst, seed = _instance_input(args, SpinorInstance, "spinor", random_spinor_instance, charge_choices)
     c = svrtan_search(inst, term_budget=args.term_budget)
     guaranteed = inst.is_nonsingular
@@ -308,7 +279,7 @@ def cmd_svrtan_search(args: argparse.Namespace) -> tuple[Report, int]:
     return _search_report(args, inst, seed, witness, guaranteed, notes)
 
 
-def cmd_census(args: argparse.Namespace) -> tuple[Report, int]:
+def cmd_census(args: argparse.Namespace) -> tuple[dict, int]:
     count = nonzero_term_census(args.n, term_budget=args.term_budget)
     return _sum_report(
         args,
@@ -413,7 +384,7 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     started = time.perf_counter()
     try:
-        report, code = _HANDLERS[args.command](args)
+        doc, code = _HANDLERS[args.command](args)
     except (InputError, DimensionError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -424,10 +395,7 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
         print(f"internal check failed: {exc}", file=err)
         return 4
     elapsed = time.perf_counter() - started
-    if args.format == "json":
-        print(json.dumps(report.to_doc(), indent=2), file=out)
-    else:
-        print(report.to_text(), file=out)
+    print(json.dumps(doc, indent=2) if args.format == "json" else report_text(doc), file=out)
     print(f"elapsed: {elapsed:.3f}s", file=err)
     return code
 

@@ -46,7 +46,7 @@ from typing import Iterator
 from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport, _fold_sum
 from .errors import BudgetError, DimensionError, InputError, charge
 from .exact import Matrix, _int_det, det, int_scaled
-from .perms import Shape, _extend, _floor_log2_factorial, _sign, walk
+from .perms import Shape, _extend, _sign, walk
 
 DEFAULT_NODE_BUDGET = 10**7
 MAX_FULL_ORDER = 7
@@ -290,15 +290,6 @@ def _onn_partial(n: int, table: list[int], scale: int) -> Fraction:
     return _fold_sum(Shape((n,) * (n - 2)), Fold(start, step, finish, scale**n))
 
 
-def charge_colorful_terms(n: int, budget: int, what: str) -> int:
-    """(n!)**n, the terms of the order-n colorful sum, through the size gate.
-
-    Its bit length is at least n * floor(log2 n!) + 1, so a count too large
-    to build is refused without building it, or a shape of n factors.
-    """
-    return charge(lambda: factorial(n) ** n, budget, what, bits=n * _floor_log2_factorial(n) + 1)
-
-
 def verify_onn(
     inst: ColorfulInstance,
     *,
@@ -315,7 +306,7 @@ def verify_onn(
     and ignored: the check runs serially.
     """
     n = inst.n
-    terms = charge_colorful_terms(n, term_budget, "colorful alternating sum has too many terms")
+    terms = Shape((n,) * n).charge_terms(term_budget, "colorful alternating sum has too many terms")
     if n % 2 and n > 1:
         lhs = Fraction(0)
     else:
