@@ -45,11 +45,14 @@ most n! * C(n, 2) integer products, not 2^C(n,2) determinants; the budget
 still counts the choices.
 
 The census and the search need each term, so they walk the choices in
-reflected-binary order and take one integer determinant per choice.  A
-vertex's value column depends only on its n - 1 incident bits, so each
-call keeps a table of columns per vertex, keyed by those bits, and a flip
-looks up the two columns it touches.  choice_polys and choice_det are the
-literal route.
+reflected-binary order.  A vertex's value column depends only on its
+n - 1 incident bits, so each call keeps a table of columns per vertex,
+keyed by those bits, and a flip looks up the two columns it touches.
+Each column also carries a tag that equal columns share; a choice with
+two equal vertex value columns is certified 0 without elimination, and
+every other choice takes one integer determinant.  For identity spinors
+that leaves exactly the n! survivors.  choice_polys and choice_det are
+the literal route.
 """
 
 from __future__ import annotations
@@ -213,7 +216,10 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
     """(bits, point-value determinant) for every choice, in reflected-binary order.
 
     Each step flips one edge and looks up the value columns of its two
-    ends, building each (vertex, incident bits) column once per call.
+    ends, building each (vertex, incident bits) column once per call and
+    tagging it with an int shared by equal columns.  A choice whose n tags
+    are not all distinct has two equal columns, so its determinant is 0
+    without elimination; every other choice takes one `_int_det`.
     """
     incident = [[] for _ in range(n)]  # (values if bit 0, values if bit 1)
     flips = []  # per edge: each end and its bit in that end's column key
@@ -222,18 +228,20 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
         incident[i].append((v1, v2))
         incident[j].append((v2, v1))
     tables = [[None] * (1 << (n - 1)) for _ in range(n)]
+    ids = {}  # column values -> tag
 
-    def column(v: int, key: int) -> list[int]:
-        col = tables[v][key]
-        if col is None:
+    def column(v: int, key: int) -> tuple[tuple[int, ...], int]:
+        entry = tables[v][key]
+        if entry is None:
             picked = [pair[key >> pos & 1] for pos, pair in enumerate(incident[v])]
             # n = 1: no edges, one constant column
-            col = tables[v][key] = [prod(at_x) for at_x in zip(*picked)] if picked else [1]
-        return col
+            col = tuple(prod(at_x) for at_x in zip(*picked)) if picked else (1,)
+            entry = tables[v][key] = (col, ids.setdefault(col, len(ids)))
+        return entry
 
     bits = 0
     keys = [0] * n
-    cols = [column(v, 0) for v in range(n)]
+    cols, tags = map(list, zip(*(column(v, 0) for v in range(n))))
     for t in range(choice_count(n)):
         if t:
             idx = (t & -t).bit_length() - 1
@@ -241,10 +249,13 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
             i, at_i, j, at_j = flips[idx]
             keys[i] ^= at_i
             keys[j] ^= at_j
-            cols[i] = column(i, keys[i])
-            cols[j] = column(j, keys[j])
-        # columns passed as rows: the transpose has the same determinant
-        yield bits, _int_det([col[:] for col in cols])
+            cols[i], tags[i] = column(i, keys[i])
+            cols[j], tags[j] = column(j, keys[j])
+        if len(set(tags)) < n:
+            yield bits, 0
+        else:
+            # columns passed as rows: the transpose has the same determinant
+            yield bits, _int_det([list(col) for col in cols])
 
 
 def out_degrees(c: Choice, n: int) -> tuple[int, ...]:

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -16,7 +18,7 @@ from altdet.engine import (
     verify_identity,
 )
 from altdet.errors import BudgetError, DimensionError
-from altdet.exact import Polynomial, poly_det, poly_mul
+from altdet.exact import Polynomial, _int_det, poly_det, poly_mul
 from altdet.perms import Shape, enumerate_product
 from altdet.svrtan import (
     _assignment_sum,
@@ -115,6 +117,21 @@ def literal_point_dets(n, values):
                 cols[i][x] *= to_i[x]
                 cols[j][x] *= to_j[x]
         out.append((bits, laplace_det(cols)))
+    return out
+
+
+@cache
+def zero_one_sweep():
+    """Every order-3 instance with basis coefficients in {0, 1}, and its literal point dets.
+
+    Each of the three edges carries two polynomials of two coefficients;
+    singular and zero bases are included.
+    """
+    out = []
+    for c in product((0, 1), repeat=12):
+        inst = SpinorInstance(3, tuple((poly(*c[k:k + 2]), poly(*c[k + 2:k + 4])) for k in range(0, 12, 4)))
+        values, _ = _point_values(inst)
+        out.append((inst, values, literal_point_dets(3, values)))
     return out
 
 
@@ -269,6 +286,11 @@ class TestColumnTable:
         values, _ = _point_values(SpinorInstance.identity(4))
         assert list(_point_dets(4, values)) == literal_point_dets(4, values)
 
+    def test_zero_one_sweep(self):
+        assert len(zero_one_sweep()) == 4096
+        for _, values, literal in zero_one_sweep():
+            assert list(_point_dets(3, values)) == literal
+
 
 class TestRegroupedSum:
     """The sum over point assignments against the walker, and at orders the walker cannot reach."""
@@ -355,6 +377,18 @@ class TestCensus:
     def test_counts(self, n, expected):
         assert nonzero_term_census(n) == expected
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_eliminates_only_the_survivors(self, n, monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return _int_det(a)
+
+        monkeypatch.setattr("altdet.svrtan._int_det", spy)
+        assert nonzero_term_census(n) == factorial(n)
+        assert len(calls) == factorial(n)
+
     def test_survivors_are_transitive(self):
         inst = SpinorInstance.identity(4)
         for c in choices(6):
@@ -405,6 +439,11 @@ class TestSearch:
                     singular_spinor(n, rng),
                 ):
                     assert svrtan_search(inst) == literal_first_nonzero(inst)
+
+    def test_zero_one_sweep(self):
+        for inst, _, literal in zero_one_sweep():
+            first = next((Choice(bits, 3) for bits, d in literal if d), None)
+            assert svrtan_search(inst) == first
 
     def test_walks_without_choice_det(self, monkeypatch):
         rng = random.Random(107)
