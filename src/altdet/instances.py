@@ -263,4 +263,6 @@ def load_instance(path: str) -> MatrixTuple | SpinorInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     return parse_instance_doc(doc)

@@ -13,15 +13,19 @@ which this module checks directly, and which powers the transversal search:
 whenever l(n) != 0 and every matrix is nonsingular, some term on the left
 is nonzero, so a full selection of disjoint nonzero transversals exists.
 
-Two independent routes compute l(n): a cell-by-cell enumeration of Latin
-squares with an incrementally maintained sign, and the engine's invariant
-of the colorful form.  Tests require them to agree, which also pins the
-sign convention for a square (product of the signs of all rows and all
-columns read as permutations).  The enumeration is orbit-reduced: for odd
-n >= 3, swapping two rows flips the sign of every column, so l(n) = 0; for
-even n, permuting rows or symbols keeps the sign, so l(n) is n!(n-1)! times
-the signed count of reduced squares (first row and first column the
-identity), as in L(n) = n!(n-1)!R(n) of McKay & Wanless (Ann. Comb. 2005).
+Two independent routes compute l(n): a cell-by-cell enumeration of the
+reduced squares (first row and first column the identity) with an
+incrementally maintained sign, and the engine's invariant of the colorful
+form.  Tests require them to agree, which also pins the sign convention for
+a square (product of the signs of all rows and all columns read as
+permutations).  Only reduced squares are enumerated: for odd n >= 3,
+swapping two rows flips the sign of every column, so l(n) = 0; for even n,
+permuting rows or symbols keeps the sign, so l(n) is n!(n-1)! times the
+signed count of reduced squares, as in L(n) = n!(n-1)!R(n) of McKay &
+Wanless (Ann. Comb. 2005).  The enumeration is a DFS on column bitmasks
+rather than a fold on `perms.walk`: the walk would call its step for every
+free column of a row and then cut the clashes, while the masks offer only
+the values still free.
 
 The direct check uses position symmetry: for pi in Sigma_n, the bijection
 (sigma_1,...,sigma_n) -> (sigma_1 pi,...,sigma_n pi) only reorders the
@@ -104,33 +108,26 @@ def latin_squares(n: int) -> Iterator[LatinSquare]:
         yield LatinSquare(rows)
 
 
-def _signed_completions(
-    n: int, cols: list[int], start_row: int, sign: int, *, reduced: bool = False
-) -> int:
-    """Signed count of ways to finish rows start_row..n-1 given column masks.
+def _reduced_latin_sum(n: int) -> int:
+    """Signed count of the reduced order-n squares: first row and column the identity.
 
-    Placing value v at (r, c) adds one inversion to row r for each larger
-    value already in the row, and to column c for each larger value already
-    in the column; both live in the masks, so the sign update is two
-    popcounts.  With ``reduced``, cell (r, 0) is pinned to r, as in a
-    reduced square: every value above it in column 0 is smaller and its row
+    A DFS over the cells of rows 1..n-1, row-major with values ascending,
+    keeps one mask per column of the values placed so far.  Placing value v
+    at (r, c) adds one inversion to row r for each larger value already in
+    the row, and to column c for each larger value already in the column;
+    both live in the masks, so the sign update is two popcounts.  Cell
+    (r, 0) holds r: every value above it in column 0 is smaller and its row
     is still empty, so it adds no inversion and each row starts at column 1.
+    The identity first row has sign +1.
     """
-    if start_row == n:
-        return sign
     full = (1 << n) - 1
-    first = 1 if reduced else 0
-    total = 0
+    cols = [1 << c for c in range(n)]
 
-    def fill(r: int, c: int, row_mask: int, sign: int):
-        nonlocal total
+    def fill(r: int, c: int, row_mask: int) -> int:
         if c == n:
-            if r + 1 == n:
-                total += sign
-            else:
-                # a reduced row starts with value r + 1 already in its mask
-                fill(r + 1, first, first << (r + 1), sign)
-            return
+            # row r + 1 starts with value r + 1 already in its mask
+            return fill(r + 1, 1, 1 << (r + 1)) if r + 1 < n else 1
+        total = 0
         avail = full & ~row_mask & ~cols[c]
         while avail:
             bit = avail & -avail
@@ -138,11 +135,12 @@ def _signed_completions(
             v = bit.bit_length() - 1
             flips = (row_mask >> (v + 1)).bit_count() + (cols[c] >> (v + 1)).bit_count()
             cols[c] |= bit
-            fill(r, c + 1, row_mask | bit, -sign if flips & 1 else sign)
+            sub = fill(r, c + 1, row_mask | bit)
             cols[c] ^= bit
+            total += -sub if flips & 1 else sub
+        return total
 
-    fill(start_row, first, first << start_row, sign)
-    return total
+    return fill(1, 1, 2)
 
 
 def alon_tarsi_count(
@@ -154,9 +152,9 @@ def alon_tarsi_count(
     For even n (and n = 1) every square shares its sign with the one reduced
     square in its orbit under row and symbol permutations, and each orbit
     has n!(n-1)! squares, so l(n) is n!(n-1)! times the signed count of
-    reduced squares, taken by the masked DFS over rows 1..n-1 with column 0
-    pinned.  The count stands for L(n) squares, the number of order-n Latin
-    squares, charged to ``term_budget`` at the size gate before any work.
+    reduced squares, taken by `_reduced_latin_sum`.  The count stands for
+    L(n) squares, the number of order-n Latin squares, charged to
+    ``term_budget`` at the size gate before any work.
     ``threads`` is accepted and ignored: the count runs serially.
     """
     if n < 1:
@@ -166,9 +164,7 @@ def alon_tarsi_count(
     charge(LATIN_SQUARE_COUNTS[n - 1], term_budget, "Latin square enumeration has too many terms")
     if n % 2 and n > 1:
         return 0
-    # first row the identity: column c holds value c, and the row's sign is +1
-    reduced = _signed_completions(n, [1 << c for c in range(n)], 1, 1, reduced=True)
-    return factorial(n) * factorial(n - 1) * reduced
+    return factorial(n) * factorial(n - 1) * _reduced_latin_sum(n)
 
 
 class ColorfulInstance(MatrixTuple):

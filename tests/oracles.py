@@ -7,6 +7,7 @@ counting for permutation sign, and itertools-driven brute enumeration.
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 
 def laplace_det(rows) -> Fraction:
@@ -131,18 +132,30 @@ def literal_dense_eval(coeffs, matrices):
     return total
 
 
-def first_row_latin_count(n, completions):
-    """l(n) by the full first-row DFS: every first row, each finished in full.
+def first_row_latin_count(n):
+    """l(n) from the squares whose first row is the identity, times n!.
 
-    ``completions(n, cols, start_row, sign)`` returns the signed count of
-    the ways to fill rows start_row..n-1 given per-column masks of the
-    values placed so far.  First rows come in lexicographic order with
-    their signs from inversion counting.
+    Later rows are picked from every permutation by filtering out column
+    clashes, and each square is signed by inversion counting over its rows
+    and columns.  Relabeling the symbols by pi maps the squares with a
+    given first row onto those with first row pi, and multiplies each of
+    the 2n row and column signs by sgn(pi), so every first row contributes
+    the same signed count.
     """
-    total = 0
-    for first in all_mappings(n):
-        total += completions(n, [1 << v for v in first], 1, inversion_sign(first))
-    return total
+
+    def extend(rows):
+        if len(rows) == n:
+            sign = 1
+            for line in rows + [tuple(row[c] for row in rows) for c in range(n)]:
+                sign *= inversion_sign(line)
+            return sign
+        return sum(
+            extend(rows + [perm])
+            for perm in all_mappings(n)
+            if not any(perm[c] == prev[c] for prev in rows for c in range(n))
+        )
+
+    return factorial(n) * extend([tuple(range(n))])
 
 
 def fraction_transversal_table(matrices):

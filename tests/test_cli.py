@@ -83,6 +83,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: not UTF-8 text")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["verify-onn", "verify-svrtan"])
+    def test_deeply_nested_json_is_two(self, source, command, tmp_path, monkeypatch):
+        # json.loads recurses once per bracket, past the interpreter's recursion limit
+        text = "[" * 100_000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            where = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            where = "-"
+        code, out, err = invoke([command, "--input", where])
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify-general", "--shape", "2,x"], "argument --shape: bad shape '2,x'"),
+        (["census", "--n", "0"], "argument --n: expected a positive integer, got 0"),
+    ], ids=["shape-not-integer", "n-zero"])
+    def test_bad_argument_value_is_two(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_dense_invariant_needs_shape(self):
         code, out, err = invoke(["invariant", "--family", "dense"])
         assert (code, out) == (2, "")

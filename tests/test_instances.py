@@ -147,6 +147,10 @@ class TestJsonRoundTrip:
         int(d, 16)
 
 
+def _edge(i, j):
+    return {"i": i, "j": j, "p1": ["1", "0"], "p2": ["0", "1"]}
+
+
 class TestParsing:
     def doc(self, **over):
         base = {
@@ -239,6 +243,32 @@ class TestParsing:
     def test_non_dict_rejected(self):
         with pytest.raises(InputError):
             parse_instance_doc([1, 2, 3])
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "matrix-tuple", "shape": [1], "matrices": [[[1]]]},
+         "matrices[0][0][0]: expected a rational string, got int"),
+        ({"kind": "matrix-tuple", "shape": [1], "matrices": [[]]},
+         "matrices[0]: expected a nonempty list of rows"),
+        ({"kind": "matrix-tuple", "shape": [2], "matrices": [[[], ["0", "1"]]]},
+         "matrices[0][0]: expected a nonempty list of entries"),
+        ({"kind": "matrix-tuple", "shape": [2], "matrices": [[["1", "0"], ["1"]]]},
+         "matrices[0]: rows have mixed lengths [1, 2]"),
+        ({"kind": "spinor", "n": 2, "edges": [{"i": 1, "j": 2, "p1": ["1"], "p2": ["0", "1"]}]},
+         "edges[0].p1: expected [constant, t-coefficient]"),
+        ({"kind": "matrix-tuple", "shape": [], "matrices": []},
+         "shape: expected a nonempty list of sizes"),
+        ({"kind": "spinor", "n": 2, "edges": {}},
+         "edges: expected a list"),
+        ({"kind": "spinor", "n": 2, "edges": [[1, 2]]},
+         "edges[0]: expected an object"),
+        ({"kind": "spinor", "n": 3, "edges": [_edge(1, 2), _edge(1, 2), _edge(1, 3)]},
+         "edges[1]: duplicate edge (1, 2)"),
+    ], ids=["rational-not-string", "matrix-empty", "row-empty", "rows-mixed", "poly-one-item",
+            "shape-empty", "edges-not-list", "edge-not-object", "edge-duplicate"])
+    def test_rejection_names_its_location(self, doc, message):
+        with pytest.raises(InputError) as info:
+            parse_instance_doc(doc)
+        assert str(info.value) == message
 
 
 class TestLoadInstance:

@@ -17,7 +17,6 @@ from altdet.onn import (
     ColorfulInstance,
     LatinSquare,
     TransversalSelection,
-    _signed_completions,
     _transversal_det_table,
     alon_tarsi_count,
     colorful_form,
@@ -359,7 +358,7 @@ def zero_one_matrices(n, rng):
 class TestFastRoutesMatchLiteral:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_orbit_count_equals_first_row_dfs(self, n):
-        assert alon_tarsi_count(n) == first_row_latin_count(n, _signed_completions)
+        assert alon_tarsi_count(n) == first_row_latin_count(n)
 
     def test_pinned_values(self):
         assert alon_tarsi_count(6, term_budget=LATIN_SQUARE_COUNTS[5]) == 199065600
