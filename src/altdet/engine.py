@@ -206,7 +206,7 @@ class DenseTensorForm(MultilinearForm):
 def _fold_sum(shape: Shape, fold: Fold) -> Fraction:
     """The signed sum of the fold's leaves over the product group, over its scale.
 
-    Every form's sum and the colorful and spinor direct sums run here; callers charge the terms first.
+    Every form's sum and the spinor direct sum run here; callers charge the terms first.
     """
     finish = fold.finish
     total: Scalar = 0

@@ -178,9 +178,12 @@ def _matrix_at(rows, where: str) -> Matrix:
 
 
 def _count_at(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InputError(f"{where}: expected a positive integer, got {value!r}")
-    return value
+    if type(value) is int and value >= 1:
+        return value
+    # a long list or a deep nest printed whole fills megabytes of one error
+    # line, so anything but a small int is named by its type
+    got = value if type(value) is int and value > -10**18 else type(value).__name__
+    raise InputError(f"{where}: expected a positive integer, got {got}")
 
 
 def _poly2_at(value, where: str) -> Polynomial:

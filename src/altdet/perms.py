@@ -13,8 +13,10 @@ carries a state down each path and may cut a subtree whose every
 completion is zero; the parity is updated slot by slot.  The leaves come
 in mixed-radix order over lexicographically ordered factors, rightmost
 factor fastest.  `enumerate_product` is the walk whose state collects the
-mappings; the engine's alternating sums, the colorful and spinor direct
-sums and the Latin square enumeration are folds on it.
+mappings; the engine's alternating sums, the spinor direct sum and the
+Latin square enumeration are folds on it.  The colorful direct sum is not:
+it goes position by position across all the permutations at once, as a
+subset DP in `onn`.
 
 `Shape` counts the terms of a product group and the coefficients of a
 dense form, and charges either to a budget at the size gate, where a cheap

@@ -99,6 +99,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: {where}: JSON nested too deeply\n"
 
+    def test_long_count_field_gives_one_short_line(self, tmp_path):
+        # the message names the value's type rather than printing 200,000 zeros
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"kind": "colorful", "n": [0] * 200_000, "matrices": []}))
+        code, out, err = invoke(["verify-onn", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: n: expected a positive integer, got list\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["verify-general", "--shape", "2,x"], "argument --shape: bad shape '2,x'"),
         (["census", "--n", "0"], "argument --n: expected a positive integer, got 0"),

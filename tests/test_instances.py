@@ -216,12 +216,6 @@ class TestParsing:
         inst = parse_instance_doc(self.spinor_doc())
         assert inst == SpinorInstance.identity(2)
 
-    def test_spinor_duplicate_edge(self):
-        doc = self.spinor_doc()
-        doc["edges"] = doc["edges"] * 2
-        with pytest.raises(InputError):
-            parse_instance_doc(doc)
-
     def test_spinor_missing_edge(self):
         doc = self.spinor_doc()
         doc["n"] = 3
@@ -263,8 +257,15 @@ class TestParsing:
          "edges[0]: expected an object"),
         ({"kind": "spinor", "n": 3, "edges": [_edge(1, 2), _edge(1, 2), _edge(1, 3)]},
          "edges[1]: duplicate edge (1, 2)"),
+        ({"kind": "spinor", "n": 2, "edges": [_edge(1, 2), _edge(1, 2)]},
+         "edges: expected 1 edges for n=2, got 2"),
+        ({"kind": "colorful", "n": [0] * 200_000, "matrices": []},
+         "n: expected a positive integer, got list"),
+        ({"kind": "matrix-tuple", "shape": [2, -3], "matrices": []},
+         "shape[1]: expected a positive integer, got -3"),
     ], ids=["rational-not-string", "matrix-empty", "row-empty", "rows-mixed", "poly-one-item",
-            "shape-empty", "edges-not-list", "edge-not-object", "edge-duplicate"])
+            "shape-empty", "edges-not-list", "edge-not-object", "edge-duplicate", "edge-count",
+            "count-long-list", "count-negative"])
     def test_rejection_names_its_location(self, doc, message):
         with pytest.raises(InputError) as info:
             parse_instance_doc(doc)

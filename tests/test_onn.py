@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 
 from altdet.engine import MatrixTuple, alternating_sum, invariant_at_identity, verify_identity
 from altdet.errors import BudgetError, DimensionError, InputError
-from altdet.exact import Matrix, det
+from altdet.exact import Matrix, _int_det, det
 from altdet.instances import SplitMix64, random_colorful_instance
 from altdet.onn import (
     LATIN_SQUARE_COUNTS,
     ColorfulInstance,
     LatinSquare,
     TransversalSelection,
+    _minor_moves,
+    _position_moves,
     _transversal_det_table,
     alon_tarsi_count,
     colorful_form,
@@ -240,6 +243,29 @@ class TestVerifyOnn:
         inst = random_colorful(3, random.Random(66))
         assert inst.determinants is inst.determinants
 
+    def test_order_4_takes_no_integer_determinant(self, monkeypatch):
+        inst = random_colorful_instance(4, SplitMix64(2))
+        assert len(inst.determinants) == 4  # the right side's, taken before the spy
+        calls = []
+
+        def spy(a):
+            calls.append(len(a))
+            return _int_det(a)
+
+        monkeypatch.setattr("altdet.exact._int_det", spy)
+        monkeypatch.setattr("altdet.onn._int_det", spy, raising=False)
+        assert verify_onn(inst).verdict
+        # the table grows shared prefix minors and the sum runs position moves
+        assert calls == []
+
+    def test_move_counts(self):
+        def count(layers):
+            return sum(len(sources) for _, sources, _, _ in layers)
+
+        # sum over j of C(4, j)**3 * (4 - j)**3, and of 4**(k + 1) * C(4, k) * (4 - k)
+        assert count(_position_moves(4)) == 3584
+        assert count(_minor_moves(4)) == 2000
+
 
 class TestRotaSearch:
     def test_order_1(self):
@@ -422,6 +448,15 @@ class TestFastRoutesMatchLiteral:
         expected = leaf_product_colorful_sum(mats)
         assert brute_alternating_sum(transversal_product, A.matrices, literal_act) == expected
         assert alternating_sum(colorful_form(n), A) == expected
+
+    def test_sign_alphabet_sweep_at_order_2(self):
+        # every pair of 2 x 2 matrices with entries in {-1, 0, 1}: 6,561 instances
+        for e in product((-1, 0, 1), repeat=8):
+            mats = [[list(e[0:2]), list(e[2:4])], [list(e[4:6]), list(e[6:8])]]
+            inst = ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats)
+            table, scale = _transversal_det_table(inst)
+            assert [Fraction(t, scale) for t in table] == fraction_transversal_table(mats)
+            assert verify_onn(inst).lhs == leaf_product_colorful_sum(mats)
 
     @settings(max_examples=24, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32), st.booleans(), st.booleans())

@@ -88,7 +88,7 @@ class TestProduct:
 
 
 class TestOneWalker:
-    """The colorful and spinor direct sums and the Latin squares are folds on `walk`, the one enumeration of Sigma_n."""
+    """The spinor direct sum and the Latin squares are folds on `walk`; the colorful direct sum is a DP over positions."""
 
     def test_direct_sums_go_through_walk(self, monkeypatch):
         shapes = []
@@ -101,8 +101,8 @@ class TestOneWalker:
             if getattr(module, "walk", None) is walk:
                 monkeypatch.setattr(module, "walk", spy)
         assert onn.verify_onn(random_colorful_instance(4, SplitMix64(2))).verdict
-        # sigma_1 is fixed and sigma_4 summed out at each leaf
-        assert shapes == [(4, 4)]
+        # the colorful sum runs its position moves, not the walk
+        assert shapes == []
         shapes.clear()
         assert svrtan.verify_svrtan(random_spinor_instance(4, SplitMix64(1))).verdict
         assert shapes == [(4,)]
