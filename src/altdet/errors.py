@@ -32,6 +32,21 @@ def _figure(value: int) -> str:
     return str(value) if value < 10**18 else f"a {value.bit_length()}-bit number"
 
 
+def _shown(value) -> str:
+    """The value for a one-line message: short strings and scalars in full.
+
+    A string past 60 characters shows its first 24 and its length; any
+    value but a string, None, a bool, a float or an int of up to 18 digits
+    is named by its type, as a long list printed whole fills megabytes of
+    one line.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 60 else f"{value[:24]!r}... ({len(value)} characters)"
+    if value is None or type(value) in (bool, float) or type(value) is int and abs(value) < 10**18:
+        return repr(value)
+    return type(value).__name__
+
+
 class BudgetError(AltdetError, RuntimeError):
     """An enumeration or search exceeded its configured budget."""
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, _shown
 
 Scalar = Union[int, Fraction]
 
@@ -35,14 +35,14 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 def parse_rational(text: str) -> Fraction:
     """Parse the exact text format ("-3/7", "4") into a canonical Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise InputError(f"bad rational literal {text!r}: expected e.g. '4' or '-3/7'")
+        raise InputError(f"bad rational literal {_shown(text)}: expected e.g. '4' or '-3/7'")
     num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
     except ValueError as exc:  # past the interpreter's limit on integer strings
         raise InputError(f"rational literal of {len(text)} characters: {exc}") from None
     if den == 0:
-        raise InputError(f"bad rational literal {text!r}: zero denominator")
+        raise InputError(f"bad rational literal {_shown(text)}: zero denominator")
     return Fraction(num, den)
 
 

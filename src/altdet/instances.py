@@ -21,7 +21,7 @@ from hashlib import sha256
 from typing import Any
 
 from .engine import DenseTensorForm, MatrixTuple
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, _shown
 from .exact import Matrix, Polynomial, det, format_rational, parse_rational
 from .onn import ColorfulInstance
 from .perms import Shape
@@ -245,7 +245,7 @@ def parse_instance_doc(doc) -> MatrixTuple | SpinorInstance:
                 raise InputError(f"{where}: duplicate edge ({i}, {j})")
             found[key] = (_poly2_at(entry["p1"], f"{where}.p1"), _poly2_at(entry["p2"], f"{where}.p2"))
         return SpinorInstance(n, tuple(found[e] for e in edge_pairs(n)))
-    raise InputError(f"kind: expected matrix-tuple, colorful or spinor, got {kind!r}")
+    raise InputError(f"kind: expected matrix-tuple, colorful or spinor, got {_shown(kind)}")
 
 
 def load_instance(path: str) -> MatrixTuple | SpinorInstance:

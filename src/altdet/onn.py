@@ -42,7 +42,10 @@ Both DPs run as move lists, cached per order, through one integer kernel:
 one integer determinant at each of its 576 leaves and one for each of
 the 256 table entries.  The move lists grow fast with n: 1,603,815,552
 position moves at n = 6, tens of GB, which the default term budget
-refuses.
+refuses.  The engine's colorful form reads the same minors, layer by
+layer, on its walk over the tuples: a prefix whose minors are all 0 has
+dependent columns and cuts its subtree, and a leaf multiplies n entries
+of the last layer.
 The transversal search drops every partial selection whose picked columns
 are already linearly dependent.
 """
@@ -199,47 +202,36 @@ class _ColorfulForm(MultilinearForm):
 
     def fold(self, cols) -> Fold:
         n = self.n
-        last = n - 1
-        base = n + 1  # n = 1 still grows a key by one digit per matrix
-        scaled = [[int_scaled(col) for col in block] for block in cols]
-        # a term picks each column of each matrix once, so every term has the same scale
-        scale = prod(s for block in scaled for _, s in block)
-        # per key, the Bareiss rows of its picked columns, the determinant
-        # once all n are picked, or None once they are dependent
-        memo: dict[int, list | int | None] = {1: []}
+        layers, scale = _prefix_minors(cols)
+        # a prefix is dependent when every minor of its columns is 0
+        live = [
+            [any(layer[p * w : (p + 1) * w]) for p in range(n ** (k + 1))]
+            for k, layer in enumerate(layers)
+            for w in [len(layer) // n ** (k + 1)]
+        ]
+        table = layers[-1]
 
-        def step(keys: tuple[int, ...], i: int, j: int, c: int):
-            parent = keys[0]
-            key = parent * base + c
-            if key not in memo:
-                basis = memo[parent]
-                reduced = _eliminate(scaled[i][c][0], basis)
-                if reduced is None:
-                    memo[key] = None
-                elif i < last:
-                    memo[key] = basis + [reduced]
-                else:
-                    # the last pivot is the determinant with the columns in pivot order
-                    pivots = tuple(p for p, _ in basis) + (reduced[0],)
-                    memo[key] = _sign(pivots) * reduced[1][reduced[0]]
-            if memo[key] is None:
+        def step(prefixes: tuple[int, ...], i: int, j: int, c: int):
+            p = prefixes[0] * n + c
+            if not live[i][p]:
                 return None
-            # the key of position j leaves the front and comes back extended
-            return keys[1:] + (key,)
+            # the prefix of position j leaves the front and comes back extended
+            return prefixes[1:] + (p,)
 
-        return Fold((1,) * n, step, lambda keys: prod(memo[k] for k in keys), scale)
+        # each of a leaf's n table entries carries the table's scale
+        return Fold((0,) * n, step, lambda prefixes: prod(table[p] for p in prefixes), scale**n)
 
 
 def colorful_form(n: int) -> MultilinearForm:
     """The order-n form: product over j of det(column j of each matrix).
 
-    Its fold keeps, for each position j, the key of the columns picked for
-    transversal j so far: a leading 1, then one base-(n+1) digit per matrix.
-    A memo on those keys, built for each sum, holds the fraction-free
-    elimination of the picked columns, scaled once to integers, so a prefix
-    whose columns are already dependent cuts its subtree; at the identity
-    that is every prefix with a repeated column.  A full key holds its
-    integer determinant, the last pivot signed by the pivot order.
+    Its fold keeps, for each position j, the index of the column prefix
+    picked for transversal j so far, and reads the prefix minors that
+    `_prefix_minors` builds once per sum, the table `verify_onn` uses.  A
+    prefix whose minors are all 0 has dependent columns and cuts its
+    subtree; at the identity that is every prefix with a repeated column,
+    so the walk reaches the L(n) Latin squares.  A leaf's value is the
+    product of its n transversal determinants, read from the last layer.
     """
     if n < 1:
         raise DimensionError("colorful forms need n >= 1")
@@ -257,20 +249,20 @@ def _layer(size: int, moves: list[tuple[int, int, int]]) -> _Layer:
     return (size, *(tuple(shared.setdefault(x, x) for x in column) for column in zip(*moves)))
 
 
-def _apply_moves(layers: tuple[_Layer, ...], weights: list[int]) -> list[int]:
-    """The values of the last layer's states, from one state of value 1.
+def _apply_moves(layers: tuple[_Layer, ...], weights: list[int]) -> list[list[int]]:
+    """The values of every layer's states, from one state of value 1.
 
     Each move adds vals[s] * weights[w] to out[t], or subtracts it when its
     weight index points past the weights, at their negations.
     """
     signed = weights + [-x for x in weights]
-    vals = [1]
+    values = [[1]]
     for size, sources, targets, picks in layers:
-        out = [0] * size
+        vals, out = values[-1], [0] * size
         for s, t, w in zip(sources, targets, picks):
             out[t] += vals[s] * signed[w]
-        vals = out
-    return vals
+        values.append(out)
+    return values[1:]
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +277,7 @@ def _minor_moves(n: int) -> tuple[_Layer, ...]:
     in S.  A state's index is its prefix in base n, matrix 1 most
     significant, times C(n, k), plus the rank of S; after all n matrices S
     is every row, so the index is the table's.  The weights are the
-    entries of the n matrices, row-major, one matrix after another.
+    entries of the n matrices, column by column, one matrix after another.
     """
     layers = []
     ranks = {0: 0}
@@ -299,7 +291,7 @@ def _minor_moves(n: int) -> tuple[_Layer, ...]:
             (
                 p * len(ranks) + rank,
                 (p * n + c) * len(grown) + grown[rows | 1 << r],
-                (k * n + r) * n + c + ((rows >> r).bit_count() & 1) * n**3,
+                (k * n + c) * n + r + ((rows >> r).bit_count() & 1) * n**3,
             )
             for p in range(n**k)
             for c in range(n)
@@ -343,23 +335,25 @@ def _position_moves(n: int) -> tuple[_Layer, ...]:
     return tuple(layers)
 
 
-def _transversal_det_table(inst: ColorfulInstance) -> tuple[list[int], int]:
-    """Determinant of every possible assembled transversal, scaled to integers.
+def _prefix_minors(cols) -> tuple[list[list[int]], int]:
+    """Every minor of every column prefix, scaled to integers, one layer per matrix.
 
-    Index encodes the chosen column of each matrix in base n, matrix 1 most
-    significant.  Size n**n; at n = 4 that is 256 determinants.  Matrix i is
-    scaled once by the lcm s_i of its denominators, and the table's scale,
-    returned with it, is s_1 * ... * s_n.  The determinants share their
-    prefix minors: the moves of `_minor_moves` grow the minors on every row
-    subset one matrix at a time, 2,000 moves at n = 4, in integers.
+    ``cols[i]`` lists the columns of matrix i.  Layer k holds, for each
+    choice of one column from each of matrices 1..k+1, its minors on the
+    (k+1)-subsets of rows, indexed as in `_minor_moves`; the last layer is
+    the determinant of every assembled transversal, n**n of them, its index
+    the chosen columns in base n, matrix 1 most significant.  Matrix i is
+    scaled once by the lcm s_i of its denominators, and the scale returned,
+    s_1 * ... * s_n, is that of the last layer.  The determinants share
+    their prefix minors: 2,000 moves at n = 4, in integers.
     """
     weights = []
     scale = 1
-    for m in inst.matrices:
-        ints, s = int_scaled([x for row in m.entries for x in row])
+    for block in cols:
+        ints, s = int_scaled([x for col in block for x in col])
         weights += ints
         scale *= s
-    return _apply_moves(_minor_moves(inst.n), weights), scale
+    return _apply_moves(_minor_moves(len(cols)), weights), scale
 
 
 def _onn_partial(n: int, table: list[int], scale: int) -> Fraction:
@@ -371,7 +365,7 @@ def _onn_partial(n: int, table: list[int], scale: int) -> Fraction:
     position, 3,584 moves at n = 4; each of the n table entries of a term
     carries ``scale``.
     """
-    return Fraction(_apply_moves(_position_moves(n), table)[0], scale**n)
+    return Fraction(_apply_moves(_position_moves(n), table)[-1][0], scale**n)
 
 
 def verify_onn(
@@ -394,7 +388,8 @@ def verify_onn(
     if n % 2 and n > 1:
         lhs = Fraction(0)
     else:
-        lhs = factorial(n) * _onn_partial(n, *_transversal_det_table(inst))
+        layers, scale = _prefix_minors([m.columns() for m in inst.matrices])
+        lhs = factorial(n) * _onn_partial(n, layers[-1], scale)
     return SumReport.of(lhs, alon_tarsi_count(n, term_budget=term_budget), inst.determinants, terms)
 
 
@@ -434,8 +429,8 @@ class TransversalSelection:
 def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> tuple[int, list[int]] | None:
     """Reduce ``col`` against Bareiss rows; None when it lies in their span.
 
-    ``basis`` holds (pivot index, row) pairs, each row already reduced by
-    the rows before it.  Step t maps v to (p_t*v - v[pivot_t]*row_t) / p_(t-1),
+    `rota_search` tests each pick with it.  ``basis`` holds (pivot index,
+    row) pairs, each row already reduced by the rows before it.  Step t maps v to (p_t*v - v[pivot_t]*row_t) / p_(t-1),
     with p the row pivots and p_(-1) = 1; the division is exact because every
     entry is then a minor of the picked columns (Sylvester's identity).
     A step with v[pivot_t] = 0 and p_t = p_(t-1) is the identity map, so

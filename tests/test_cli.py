@@ -107,6 +107,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: n: expected a positive integer, got list\n"
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": [0] * 200_000},
+        {"kind": "colorful", "n": 1, "matrices": [[["x" * 1_000_000]]]},
+        {"kind": "colorful", "n": 1, "matrices": [[["1/" + "0" * 1_000_000]]]},
+    ], ids=["kind-long-list", "literal-long-junk", "literal-zero-denominator"])
+    def test_long_bad_value_gives_one_short_line(self, doc, tmp_path, capsys):
+        # main lifts the integer-string limit, so the zero denominator is parsed in full
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify-onn", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("argv,message", [
         (["verify-general", "--shape", "2,x"], "argument --shape: bad shape '2,x'"),
         (["census", "--n", "0"], "argument --n: expected a positive integer, got 0"),

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -18,9 +18,10 @@ from altdet.onn import (
     ColorfulInstance,
     LatinSquare,
     TransversalSelection,
+    _eliminate,
     _minor_moves,
     _position_moves,
-    _transversal_det_table,
+    _prefix_minors,
     alon_tarsi_count,
     colorful_form,
     latin_sign,
@@ -28,7 +29,7 @@ from altdet.onn import (
     rota_search,
     verify_onn,
 )
-from altdet.perms import enumerate_product
+from altdet.perms import enumerate_product, walk
 
 from oracles import (
     brute_alternating_sum,
@@ -183,6 +184,36 @@ class TestColorfulForm:
     def test_invariant_is_latin_count(self, n):
         assert invariant_at_identity(colorful_form(n)) == alon_tarsi_count(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identity_walk_reaches_only_latin_squares(self, n):
+        # a prefix with a repeated column is cut, so no value test can see the
+        # cut: without it the walk at n = 4 reaches all 331,776 leaves
+        f = colorful_form(n)
+        fold = f.fold([Matrix.identity(n).columns()] * n)
+        assert sum(1 for _ in walk(f.shape, fold.start, fold.step)) == LATIN_SQUARE_COUNTS[n - 1]
+
+    def test_fold_takes_no_elimination_or_integer_determinant(self, monkeypatch):
+        A = random_colorful_instance(3, SplitMix64(4)).as_matrix_tuple()
+        expected = alternating_sum(colorful_form(3), A)
+        calls = []
+
+        def spy(name, kernel):
+            def call(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            return call
+
+        monkeypatch.setattr("altdet.onn._eliminate", spy("_eliminate", _eliminate))
+        monkeypatch.setattr("altdet.exact._int_det", spy("_int_det", _int_det))
+        monkeypatch.setattr("altdet.onn._int_det", spy("_int_det", _int_det), raising=False)
+        f = colorful_form(3)
+        assert alternating_sum(f, A) == expected
+        assert invariant_at_identity(f) == 0
+        f(A)
+        # every value is read from the prefix minors of `_prefix_minors`
+        assert calls == []
+
 
 class TestVerifyOnn:
     def test_identity_pair(self):
@@ -228,6 +259,19 @@ class TestVerifyOnn:
             assert direct.lhs == engine.lhs
             assert direct.rhs == engine.rhs
             assert engine.invariant == direct.latin_count
+
+    def test_engine_fold_at_order_4_on_shared_columns(self):
+        # each matrix takes 4 of the same 5 columns, so transversals that take
+        # one column twice give many dependent prefixes and the fold's cuts
+        # decide the value; at order 3 or on random entries a prefix read in
+        # the wrong digit order still passes.  Halves and thirds give each
+        # matrix its own scale.
+        rng = random.Random(67)
+        for _ in range(6):
+            pool = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(4)] for _ in range(5)]
+            picks = [rng.sample(pool, 4) for _ in range(4)]
+            inst = ColorfulInstance.of(Matrix.from_columns(cols) for cols in picks)
+            assert alternating_sum(colorful_form(4), inst) == verify_onn(inst).lhs
 
     def test_threads_agree(self):
         rng = random.Random(64)
@@ -450,27 +494,61 @@ class TestFastRoutesMatchLiteral:
         assert alternating_sum(colorful_form(n), A) == expected
 
     def test_sign_alphabet_sweep_at_order_2(self):
-        # every pair of 2 x 2 matrices with entries in {-1, 0, 1}: 6,561 instances
+        # every pair of 2 x 2 matrices with entries in {-1, 0, 1}: 6,561 instances,
+        # through the direct sum and through the engine's fold on the same table
+        f = colorful_form(2)
         for e in product((-1, 0, 1), repeat=8):
             mats = [[list(e[0:2]), list(e[2:4])], [list(e[4:6]), list(e[6:8])]]
             inst = ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats)
-            table, scale = _transversal_det_table(inst)
-            assert [Fraction(t, scale) for t in table] == fraction_transversal_table(mats)
-            assert verify_onn(inst).lhs == leaf_product_colorful_sum(mats)
+            layers, scale = _prefix_minors([m.columns() for m in inst.matrices])
+            assert [Fraction(t, scale) for t in layers[-1]] == fraction_transversal_table(mats)
+            expected = leaf_product_colorful_sum(mats)
+            assert verify_onn(inst).lhs == expected
+            assert alternating_sum(f, inst) == expected
 
     @settings(max_examples=24, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32), st.booleans(), st.booleans())
     def test_integer_table_matches_fraction_dets(self, n, seed, rational, zero_column):
         mats = drawn_colorful(n, random.Random(seed), rational, zero_column)
-        table, scale = _transversal_det_table(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats))
-        assert all(type(t) is int for t in table)
-        assert [Fraction(t, scale) for t in table] == fraction_transversal_table(mats)
+        layers, scale = _prefix_minors([Matrix.from_rows(rows).columns() for rows in mats])
+        assert all(type(t) is int for layer in layers for t in layer)
+        assert [Fraction(t, scale) for t in layers[-1]] == fraction_transversal_table(mats)
 
     @staticmethod
     def check_onn(mats, threads):
         report = verify_onn(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats), threads=threads)
         assert report.lhs == leaf_product_colorful_sum(mats)
         assert report.rhs == LATIN_COUNTS[len(mats)] * prod(laplace_det(rows) for rows in mats)
+
+    def test_elimination_sweep_at_order_3(self):
+        # every basis of up to three columns over {0, 1, 2}: a reduced column is
+        # None exactly when the columns are dependent, and the last pivot, signed
+        # by the pivot order, is the determinant.  Pivots of 2 meet zero factors.
+        cols = [list(c) for c in product((0, 1, 2), repeat=3)]
+        for a in cols:
+            ra = _eliminate(a, [])
+            assert (ra is None) == (a == [0, 0, 0])
+            if ra is None:
+                continue
+            for b in cols:
+                rb = _eliminate(b, [ra])
+                independent = any(a[r] * b[s] != a[s] * b[r] for r in range(3) for s in range(3))
+                assert (rb is None) != independent
+                if rb is None:
+                    continue
+                for c in cols:
+                    rc = _eliminate(c, [ra, rb])
+                    d = laplace_det([[a[r], b[r], c[r]] for r in range(3)])
+                    got = 0 if rc is None else inversion_sign((ra[0], rb[0], rc[0])) * rc[1][rc[0]]
+                    assert got == d
+
+    def test_small_alphabet_sweep_of_the_search(self):
+        # all 216 triples of 3 x 3 permutation matrices, then all 256 pairs of 0/1 2 x 2 matrices
+        perm3 = [[[int(p[r] == c) for c in range(3)] for r in range(3)] for p in permutations(range(3))]
+        zero_one = [[list(e[0:2]), list(e[2:4])] for e in product((0, 1), repeat=4)]
+        for mats in chain(product(perm3, repeat=3), product(zero_one, repeat=2)):
+            sel = rota_search(ColorfulInstance.of(Matrix.from_rows(rows) for rows in mats))
+            assert (None if sel is None else list(sel.maps)) == combo_det_rota_search(mats)
 
     @settings(max_examples=40, deadline=None)
     @given(
