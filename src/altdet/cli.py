@@ -8,8 +8,9 @@ byte-identical for a fixed seed.
 ``--threads`` is accepted and validated, and every command runs serially.
 Handlers read the parsed ``argparse.Namespace`` directly.
 Exit codes: 0 when the checked identity holds or a search finds a
-witness, 1 when a check fails or a search exhausts, 2 for bad inputs, 3
-for exhausted budgets, 4 when an internal self-check fails.
+witness, 1 when a check fails or a search with no guarantee exhausts, 2
+for bad inputs, 3 for exhausted budgets, 4 when an internal self-check
+fails, a guaranteed search that exhausts included.
 """
 
 from __future__ import annotations
@@ -130,17 +131,19 @@ def _search_report(
     guaranteed: bool,
     notes: list[str],
 ) -> tuple[dict, int]:
-    """The report of a search: found (lhs 1) against guaranteed (rhs 1).
+    """The report of a search: both sides 1 when a witness was found, else 0.
 
-    It exits 0 when a witness was found and 1 when the search exhausted.
+    It exits 0 when a witness was found and 1 when the search exhausted
+    with no guarantee.  A guaranteed search that exhausts contradicts the
+    identity behind the guarantee, so it raises `SelfCheckError`.
     """
     found = witness is not None
     if not found:
-        bug = "exhausted despite a guarantee: this indicates a bug"
-        notes = notes + [bug if guaranteed else "search exhausted"]
+        if guaranteed:
+            raise SelfCheckError(f"{args.command} exhausted despite a guarantee")
+        notes = notes + ["search exhausted"]
     digest = doc_digest(instance_to_doc(inst))
-    lhs, rhs = Fraction(found), Fraction(found or guaranteed)
-    doc, _ = _sum_report(args, digest, lhs, rhs, notes, seed=seed, witness=witness)
+    doc, _ = _sum_report(args, digest, Fraction(found), Fraction(found), notes, seed=seed, witness=witness)
     return doc, 0 if found else 1
 
 

@@ -17,7 +17,7 @@ size gate charges the whole product group before the walk, pruned or not.
 No permuted matrix is built; signed values are summed as they come (plain
 ints for integer inputs) and one Fraction is made per sum.
 
-The fold is the one evaluation body of every form.  A plain form wraps a
+The fold is the one evaluation body of every sum.  A plain form wraps a
 function of a `MatrixTuple`: its default fold collects each path's
 mappings and evaluates the term whole, building the matrices.  The dense,
 colorful and spinor forms fold their own partial values.
@@ -103,11 +103,13 @@ class MultilinearForm:
 
     `fold` is the one evaluation body: given, for each matrix, its list of
     columns, it folds the terms of the alternating sum slot by slot.  The
-    sum, the invariant and a call on a `MatrixTuple` (the one path that
-    keeps every column in place) all run it.  A plain instance wraps
-    ``evaluator``, a function of a `MatrixTuple`: its fold collects each
-    path's mappings and `evaluate_columns` builds the matrices for every
-    term.  Subclasses override `fold` instead and pass no evaluator.
+    sum, the invariant and, by default, a call on a `MatrixTuple` (the one
+    path that keeps every column in place) all run it.  A plain instance
+    wraps ``evaluator``, a function of a `MatrixTuple`: its fold collects
+    each path's mappings and `evaluate_columns` builds the matrices for
+    every term.  Subclasses override `fold` instead and pass no evaluator.
+    The colorful form also overrides the call: one tuple needs only its n
+    transversal determinants, not the table its fold builds.
     """
 
     def __init__(

@@ -7,9 +7,11 @@ format for scalars is an optional sign, a decimal integer, and an optional
 ``/`` followed by a positive decimal denominator: ``"-3/7"``, ``"4"``.
 
 Matrices are immutable and stored row-major as nested tuples.  Determinants
-use fraction-free Bareiss elimination: each column is scaled by the least
-common multiple of its denominators (the scale is tracked and divided out
-at the end), after which the elimination runs entirely over integers.
+use fraction-free Bareiss elimination over integers: a column of plain ints
+is used as it is, and any other column is scaled by the least common
+multiple of its denominators (the scale is tracked and divided out at the
+end).  Integer inputs, the common case, thus read no denominator, and
+`format_rational` writes an int without making a Fraction of it.
 
 Polynomials are dense coefficient tuples; index ``d`` holds the coefficient
 of ``t**d``.  A polynomial lives in the space of polynomials of degree < m
@@ -62,7 +64,12 @@ def _decimal(x: int) -> str:
 
 
 def format_rational(value: Scalar) -> str:
-    """Canonical text for a scalar of any size; round-trips exactly through parse_rational."""
+    """Canonical text for a scalar of any size; round-trips exactly through parse_rational.
+
+    A plain int is written as it is, with no Fraction made of it.
+    """
+    if type(value) is int:
+        return _decimal(value)
     value = Fraction(value)
     text = _decimal(value.numerator)
     return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
@@ -150,8 +157,19 @@ def _int_det(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+# the one entry type that int_scaled passes through as it is
+_PLAIN_INT = frozenset({int})
+
+
 def int_scaled(values: Sequence[Scalar]) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, and that lcm."""
+    """The values times the lcm of their denominators, and that lcm.
+
+    Values that are all plain ints come back as they are, scale 1, with no
+    denominator read; bools, int subclasses and Fractions, even integral
+    ones, take the lcm route, which gives plain ints too.
+    """
+    if _PLAIN_INT.issuperset(map(type, values)):
+        return list(values), 1
     dens = [x.denominator for x in values]
     scale = lcm(*dens)
     if scale == 1:

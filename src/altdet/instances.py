@@ -63,22 +63,32 @@ def _entry(rng: SplitMix64) -> int:
     return rng.int_between(ENTRY_LO, ENTRY_HI)
 
 
-def _nonsingular_matrix(rng: SplitMix64, n: int) -> Matrix:
+def _nonsingular_matrix(rng: SplitMix64, n: int) -> tuple[Matrix, Fraction]:
+    """A nonsingular draw and the determinant its acceptance test took."""
     for _ in range(RESAMPLE_CAP):
         m = Matrix.from_rows([[_entry(rng) for _ in range(n)] for _ in range(n)])
-        if det(m) != 0:
-            return m
+        d = det(m)
+        if d != 0:
+            return m, d
     raise BudgetError(f"no nonsingular {n}x{n} draw within {RESAMPLE_CAP} tries")
+
+
+def _drawn(cls: type, shape: Shape, draws: list[tuple[Matrix, Fraction]]) -> MatrixTuple:
+    """The tuple of the drawn matrices, its determinants those the draws took."""
+    inst = cls(shape, tuple(m for m, _ in draws))
+    # fills the cached property, so no determinant is taken twice
+    vars(inst)["determinants"] = tuple(d for _, d in draws)
+    return inst
 
 
 def random_matrix_tuple(shape: Shape, rng: SplitMix64) -> MatrixTuple:
     """Nonsingular integer matrices for each shape factor, each resampled independently."""
-    return MatrixTuple(shape, tuple(_nonsingular_matrix(rng, n) for n in shape))
+    return _drawn(MatrixTuple, shape, [_nonsingular_matrix(rng, n) for n in shape])
 
 
 def random_colorful_instance(n: int, rng: SplitMix64) -> ColorfulInstance:
     """n nonsingular integer matrices of size n, each resampled independently."""
-    return ColorfulInstance.of(_nonsingular_matrix(rng, n) for _ in range(n))
+    return _drawn(ColorfulInstance, Shape((n,) * n), [_nonsingular_matrix(rng, n) for _ in range(n)])
 
 
 def random_spinor_instance(n: int, rng: SplitMix64) -> SpinorInstance:

@@ -45,7 +45,8 @@ position moves at n = 6, tens of GB, which the default term budget
 refuses.  The engine's colorful form reads the same minors, layer by
 layer, on its walk over the tuples: a prefix whose minors are all 0 has
 dependent columns and cuts its subtree, and a leaf multiplies n entries
-of the last layer.
+of the last layer.  A call of the form on one tuple needs only its n
+transversals, so it takes their determinants and builds no table.
 The transversal search drops every partial selection whose picked columns
 are already linearly dependent.
 """
@@ -221,6 +222,12 @@ class _ColorfulForm(MultilinearForm):
         # each of a leaf's n table entries carries the table's scale
         return Fold((0,) * n, step, lambda prefixes: prod(table[p] for p in prefixes), scale**n)
 
+    def __call__(self, A: MatrixTuple) -> Fraction:
+        """The value at A from its own n transversals, one determinant each."""
+        cols = self._columns(A)
+        return prod((det(Matrix.from_columns([block[j] for block in cols])) for j in range(self.n)),
+                    start=Fraction(1))
+
 
 def colorful_form(n: int) -> MultilinearForm:
     """The order-n form: product over j of det(column j of each matrix).
@@ -232,6 +239,8 @@ def colorful_form(n: int) -> MultilinearForm:
     subtree; at the identity that is every prefix with a repeated column,
     so the walk reaches the L(n) Latin squares.  A leaf's value is the
     product of its n transversal determinants, read from the last layer.
+    A call on one tuple builds no table: it takes the n determinants of
+    that tuple's own transversals.
     """
     if n < 1:
         raise DimensionError("colorful forms need n >= 1")
@@ -342,10 +351,12 @@ def _prefix_minors(cols) -> tuple[list[list[int]], int]:
     choice of one column from each of matrices 1..k+1, its minors on the
     (k+1)-subsets of rows, indexed as in `_minor_moves`; the last layer is
     the determinant of every assembled transversal, n**n of them, its index
-    the chosen columns in base n, matrix 1 most significant.  Matrix i is
-    scaled once by the lcm s_i of its denominators, and the scale returned,
-    s_1 * ... * s_n, is that of the last layer.  The determinants share
-    their prefix minors: 2,000 moves at n = 4, in integers.
+    the chosen columns in base n, matrix 1 most significant.  Each matrix
+    goes through `int_scaled` once: a matrix of plain ints is used as it
+    is, scale 1, and any other is scaled by the lcm s_i of its
+    denominators.  The scale returned, s_1 * ... * s_n, is that of the last
+    layer.  The determinants share their prefix minors: 2,000 moves at
+    n = 4, in integers.
     """
     weights = []
     scale = 1
@@ -457,11 +468,12 @@ def rota_search(
     Positions are handled in order; within a position, column indices are
     tried ascending for matrix 1, then matrix 2, and so on.  Each position
     keeps a fraction-free elimination of the columns picked so far, over
-    columns scaled once by the lcm of their denominators.  A pick that
-    reduces to zero is skipped, since no completion of the position can
-    have a nonzero determinant; n picks that all survive assemble a
-    nonsingular transversal.  The skipped subtrees hold only zero
-    determinants, so the first selection is the one the plain
+    integer columns from one `int_scaled` call per matrix: plain ints as
+    they are, anything else scaled by the lcm of the matrix's denominators.
+    A pick that reduces to zero is skipped, since no completion of the
+    position can have a nonzero determinant; n picks that all survive
+    assemble a nonsingular transversal.  The skipped subtrees hold only
+    zero determinants, so the first selection is the one the plain
     determinant-per-combo search finds.  Each pick tested is one node
     against the budget.  None means the whole tree was exhausted, which the
     identity rules out for nonsingular instances with l(n) != 0.  The
@@ -469,8 +481,10 @@ def rota_search(
     order is too deep for it.
     """
     n = inst.n
-    # a positive scale changes no column's span
-    cols = [[int_scaled(col)[0] for col in m.columns()] for m in inst.matrices]
+    # a positive scale changes no column's span; column c of a row-major
+    # flat matrix is every n-th entry from c
+    flat = [int_scaled([x for row in m.entries for x in row])[0] for m in inst.matrices]
+    cols = [[ints[c::n] for c in range(n)] for ints in flat]
     used = [[False] * n for _ in range(n)]
     sel = [[0] * n for _ in range(n)]
     # slot d picks matrix d % n's column for position d // n; per slot, the

@@ -23,9 +23,10 @@ Every fast route evaluates instead, from one encoding, `_point_values`:
 the sum, the census, the search and the engine's spinor form.  The values
 of p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the coefficient
 matrix, so each determinant gains the factor prod over a < b of (b - a).
-Scaling each basis element by the lcm of its denominators makes every
-value an integer and multiplies every term by the same product of scales,
-since each choice uses both elements of every edge.
+A basis element of plain ints is used as it is, and any other is scaled
+by the lcm of its denominators, so every value is an integer and every
+term is multiplied by the same product of scales, since each choice uses
+both elements of every edge.
 
 The sum never takes a per-choice determinant.  Expanding each point-value
 determinant by Leibniz over the assignments pi of points to vertices and

@@ -7,7 +7,7 @@ counting for permutation sign, and itertools-driven brute enumeration.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
 
 def laplace_det(rows) -> Fraction:
@@ -23,6 +23,15 @@ def laplace_det(rows) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(rows[0][j]) * laplace_det(minor)
     return total
+
+
+def lcm_scaled(values):
+    """The values times the lcm of their denominators, and that lcm, through Fraction."""
+    fracs = [Fraction(v) for v in values]
+    scale = 1
+    for q in fracs:
+        scale = scale * q.denominator // gcd(scale, q.denominator)
+    return [int(q * scale) for q in fracs], scale
 
 
 def inversion_sign(mapping) -> int:
@@ -204,6 +213,28 @@ def leaf_product_colorful_sum(matrices):
 
     descend(0, 1, (0,) * n)
     return Fraction(total)
+
+
+def first_identity_colorful_sum(table, n):
+    """Signed sum over the tuples with sigma_1 the identity, one product per tuple.
+
+    ``table`` holds one value per (j, c_2, ..., c_n), read in base n with j
+    most significant; the tuple (sigma_2, ..., sigma_n) contributes the
+    product of its signs times the entries (j, sigma_2(j), ..., sigma_n(j))
+    for j = 1..n.
+    """
+    total = 0
+    for perms in product(all_mappings(n), repeat=n - 1):
+        term = 1
+        for p in perms:
+            term *= inversion_sign(p)
+        for j in range(n):
+            key = j
+            for p in perms:
+                key = key * n + p[j]
+            term *= table[key]
+        total += term
+    return total
 
 
 def combo_det_rota_search(matrices):

@@ -248,6 +248,13 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal check failed: search returned a choice with zero determinant\n"
 
+    def test_guaranteed_search_that_exhausts_is_four(self, monkeypatch):
+        # a nonsingular order-4 draw with l(4) = 576 guarantees a selection
+        monkeypatch.setattr("altdet.cli.rota_search", lambda inst, **kw: None)
+        code, out, err = invoke(["rota-search", "--n", "4", "--seed", "3"])
+        assert (code, out) == (4, "")
+        assert err == "internal check failed: rota-search exhausted despite a guarantee\n"
+
     def test_invalid_selection_is_four(self, monkeypatch):
         monkeypatch.setattr("altdet.onn.TransversalSelection.is_valid_for", lambda self, inst: False)
         code, out, err = invoke(["rota-search", "--n", "2", "--seed", "6"])

@@ -22,9 +22,13 @@ from altdet import (
 )
 from altdet.exact import _int_det, int_scaled
 
-from oracles import laplace_det
+from oracles import laplace_det, lcm_scaled
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+class _Tagged(int):
+    """An int subclass, which int_scaled and format_rational treat as a rational."""
 
 
 class TestRationalText:
@@ -80,6 +84,23 @@ class TestRationalText:
         assert format_rational(Fraction(-6, 4)) == "-3/2"
         assert format_rational(5) == "5"
         assert format_rational(Fraction(-4, 2)) == "-2"
+
+    def test_int_is_formatted_without_a_fraction(self, monkeypatch):
+        made = []
+
+        class Spy(Fraction):
+            def __new__(cls, *args):
+                made.append(args)
+                return Fraction(*args)
+
+        values = [0, -7, 10**700, -(10**5000) + 3]
+        expected = [format_rational(Fraction(v)) for v in values]
+        monkeypatch.setattr("altdet.exact.Fraction", Spy)
+        assert [format_rational(v) for v in values] == expected
+        assert made == []
+        # the spy sees the rational route: bools and int subclasses still take it
+        assert [format_rational(True), format_rational(_Tagged(-4))] == ["1", "-4"]
+        assert len(made) == 2
 
     @given(rationals)
     def test_round_trip(self, q):
@@ -193,6 +214,22 @@ class TestDet:
         assert [Fraction(x, scale) for x in ints] == [Fraction(v) for v in values]
         assert all(type(x) is int for x in ints)
         assert scale == lcm(*(Fraction(v).denominator for v in values))
+
+    @pytest.mark.parametrize("values", [
+        [3, -7, 0, 9],
+        (10**5000, -(10**5000) + 1, 2),
+        [True, False, 1],
+        [Fraction(4, 1), Fraction(-2, 1), 5],
+        [_Tagged(6), -1],
+        [2, Fraction(1, 3), True, -4, Fraction(5, 6)],
+        [],
+    ], ids=["ints", "huge ints", "bools", "integral fractions", "int subclass", "mixed", "empty"])
+    def test_int_scaled_matches_the_lcm_route(self, values):
+        ints, scale = int_scaled(values)
+        assert (ints, scale) == lcm_scaled(values)
+        assert all(type(x) is int for x in ints)
+        # a fresh list: _int_det eliminates in place
+        assert type(ints) is list and ints is not values
 
     def test_pivot_search_hits_zero_column(self):
         m = Matrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]])

@@ -89,6 +89,22 @@ class TestGenerators:
         assert len(inst.matrices) == 3
         assert inst.is_nonsingular
 
+    @pytest.mark.parametrize("draw", [
+        lambda rng: random_matrix_tuple(Shape.of(3, 2, 4), rng),
+        lambda rng: random_colorful_instance(4, rng),
+    ])
+    def test_drawn_determinants_take_no_further_det(self, draw, monkeypatch):
+        # the acceptance test's determinants fill the tuple's, so reading them takes none
+        calls = []
+        monkeypatch.setattr("altdet.engine.det", lambda m: calls.append(m))
+        inst = draw(SplitMix64(12))
+        dets = inst.determinants
+        assert calls == []
+        monkeypatch.undo()
+        fresh = type(inst)(inst.shape, inst.matrices)
+        assert fresh == inst and type(fresh) is type(inst)
+        assert dets == fresh.determinants and all(type(d) is Fraction for d in dets)
+
     def test_spinor_instance_edges_nonsingular(self):
         inst = random_spinor_instance(4, SplitMix64(10))
         assert inst.n == 4

@@ -20,6 +20,7 @@ from altdet.onn import (
     TransversalSelection,
     _eliminate,
     _minor_moves,
+    _onn_partial,
     _position_moves,
     _prefix_minors,
     alon_tarsi_count,
@@ -35,6 +36,7 @@ from oracles import (
     brute_alternating_sum,
     brute_latin_squares,
     combo_det_rota_search,
+    first_identity_colorful_sum,
     first_row_latin_count,
     fraction_transversal_table,
     inversion_sign,
@@ -178,7 +180,14 @@ class TestColorfulForm:
             expected = prod(
                 laplace_det([[m.entries[r][j] for m in moved] for r in range(n)]) for j in range(n)
             )
-            assert f(MatrixTuple(A.shape, tuple(moved))) == expected
+            B = MatrixTuple(A.shape, tuple(moved))
+            assert f(B) == expected
+            # the fold's one path that keeps every column in place gives the same
+            state, step, finish, scale = f.fold(f._columns(B))
+            for i in range(n):
+                for j in range(n):
+                    state = state if state is None else step(state, i, j, j)
+            assert (0 if state is None else Fraction(finish(state), scale)) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invariant_is_latin_count(self, n):
@@ -210,9 +219,24 @@ class TestColorfulForm:
         f = colorful_form(3)
         assert alternating_sum(f, A) == expected
         assert invariant_at_identity(f) == 0
-        f(A)
         # every value is read from the prefix minors of `_prefix_minors`
         assert calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_single_call_takes_at_most_n_determinants(self, n, monkeypatch):
+        A = random_colorful_instance(n, SplitMix64(40 + n)).as_matrix_tuple()
+        expected = prod(laplace_det([[m.entries[r][j] for m in A.matrices] for r in range(n)])
+                        for j in range(n))
+        calls = []
+
+        def spy(a):
+            calls.append(len(a))
+            return _int_det(a)
+
+        monkeypatch.setattr("altdet.exact._int_det", spy)
+        monkeypatch.setattr("altdet.onn._apply_moves", None)  # no table is built
+        assert colorful_form(n)(A) == expected
+        assert calls == [n] * n
 
 
 class TestVerifyOnn:
@@ -301,6 +325,17 @@ class TestVerifyOnn:
         assert verify_onn(inst).verdict
         # the table grows shared prefix minors and the sum runs position moves
         assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_position_moves_match_the_literal_partial_sum(self, n):
+        # above n = 2: there the sigma_2 = id path takes the first move of
+        # both positions, so flipping the sign of each first move cancels
+        rng = random.Random(70 + n)
+        tables = [[1] * n**n] + [[rng.randint(-3, 3) for _ in range(n**n)] for _ in range(3)]
+        for table in tables:
+            expected = first_identity_colorful_sum(table, n)
+            assert _onn_partial(n, table, 1) == expected
+            assert _onn_partial(n, table, 2) == Fraction(expected, 2**n)
 
     def test_move_counts(self):
         def count(layers):
