@@ -45,15 +45,19 @@ zero prefix cuts its subtree, and the total is divided once.  It takes at
 most n! * C(n, 2) integer products, not 2^C(n,2) determinants; the budget
 still counts the choices.
 
-The census and the search need each term, so they walk the choices in
-reflected-binary order.  A vertex's value column depends only on its
-n - 1 incident bits, so each call keeps a table of columns per vertex,
-keyed by those bits, and a flip looks up the two columns it touches.
-Each column also carries a tag that equal columns share; a choice with
-two equal vertex value columns is certified 0 without elimination, and
-every other choice takes one integer determinant.  For identity spinors
-that leaves exactly the n! survivors.  choice_polys and choice_det are
-the literal route.
+The census and the search need each term.  A vertex's value column
+depends only on its n - 1 incident bits, so each call keeps a table of
+columns per vertex, keyed by those bits, and tags each column with an
+int that equal columns share; a choice with two equal vertex value
+columns has determinant 0.  The search walks the choices in
+reflected-binary order, a flip looks up the two columns it touches, and
+every choice with n distinct tags takes one integer determinant.  The
+census walks the vertices instead: vertex v picks the bits of its edges
+to later vertices, and a tag repeating an earlier vertex's cuts the
+subtree.  Whether n distinct columns are independent does not depend on
+their order, so it takes one determinant per tag set; for identity
+spinors every survivor has the same tag set, so it takes one in all.
+choice_polys and choice_det are the literal route.
 """
 
 from __future__ import annotations
@@ -213,19 +217,17 @@ def _assignment_sum(n: int, values, divisor: int) -> Fraction:
     return _fold_sum(Shape((n,)), Fold(((), 1), step, itemgetter(1), divisor))
 
 
-def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
-    """(bits, point-value determinant) for every choice, in reflected-binary order.
+def _column_table(n: int, values):
+    """The per-call lookup column(v, key) -> (v's value column, its tag).
 
-    Each step flips one edge and looks up the value columns of its two
-    ends, building each (vertex, incident bits) column once per call and
-    tagging it with an int shared by equal columns.  A choice whose n tags
-    are not all distinct has two equal columns, so its determinant is 0
-    without elimination; every other choice takes one `_int_det`.
+    Bit k of ``key`` is the bit of v's k-th incident edge in lexicographic
+    order: {k, v} for k < v and {v, k + 1} for k >= v.  Each column is built
+    once per call, from the values its end gets on every incident edge, and
+    tagged with an int that equal columns share.  Also returns ``ids``,
+    which maps each column built so far to its tag, in tag order.
     """
     incident = [[] for _ in range(n)]  # (values if bit 0, values if bit 1)
-    flips = []  # per edge: each end and its bit in that end's column key
     for (i, j), (v1, v2) in zip(edge_pairs(n), values):
-        flips.append((i, 1 << len(incident[i]), j, 1 << len(incident[j])))
         incident[i].append((v1, v2))
         incident[j].append((v2, v1))
     tables = [[None] * (1 << (n - 1)) for _ in range(n)]
@@ -234,12 +236,30 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
     def column(v: int, key: int) -> tuple[tuple[int, ...], int]:
         entry = tables[v][key]
         if entry is None:
-            picked = [pair[key >> pos & 1] for pos, pair in enumerate(incident[v])]
+            picked = []
+            rest = key
+            for pair in incident[v]:
+                picked.append(pair[rest & 1])
+                rest >>= 1
             # n = 1: no edges, one constant column
-            col = tuple(prod(at_x) for at_x in zip(*picked)) if picked else (1,)
+            col = tuple(map(prod, zip(*picked))) if picked else (1,)
             entry = tables[v][key] = (col, ids.setdefault(col, len(ids)))
         return entry
 
+    return column, ids
+
+
+def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
+    """(bits, point-value determinant) for every choice, in reflected-binary order.
+
+    Each step flips one edge and looks up the value columns of its two
+    ends in `_column_table`.  A choice whose n tags are not all distinct
+    has two equal columns, so its determinant is 0 without elimination;
+    every other choice takes one `_int_det`.
+    """
+    column, _ = _column_table(n, values)
+    # edge {i, j} is bit j - 1 of i's key and bit i of j's
+    flips = [(i, 1 << (j - 1), j, 1 << i) for i, j in edge_pairs(n)]
     bits = 0
     keys = [0] * n
     cols, tags = map(list, zip(*(column(v, 0) for v in range(n))))
@@ -259,6 +279,67 @@ def _point_dets(n: int, values) -> Iterator[tuple[int, int]]:
             yield bits, _int_det([list(col) for col in cols])
 
 
+def _survivors(n: int, values) -> list[int]:
+    """Bits of every choice with a nonzero point-value determinant, by a DFS over vertices.
+
+    Vertex v picks the bits of its edges to later vertices; they are
+    adjacent in the choice (from bit ``base``) and in v's column key (from
+    bit v), and the bits of its edges to earlier vertices were picked by
+    those.  ``pending`` packs the picked key bits of the vertices after v,
+    ``n`` bits each, v + 1 lowest.  Every tag comes from `_column_table`,
+    and a tag already in the ``used`` mask cuts the subtree.  The last
+    vertex picks nothing, so it is looked up inline once vertex n - 2 has
+    picked.  A leaf has n distinct columns, so whether its determinant is
+    0 depends on its tag set alone, not on their order: one `_int_det` per
+    tag set.
+    """
+    column, ids = _column_table(n, values)
+    # per vertex and key, the bit of its column's tag
+    tag_bits = [[1 << column(v, key)[1] for key in range(1 << (n - 1))] for v in range(n)]
+    nonzero = {}  # tag set -> whether its columns are independent
+
+    def independent(used: int) -> bool:
+        if used not in nonzero:
+            # columns passed as rows: the transpose has the same determinant
+            rows = [list(col) for t, col in enumerate(ids) if used >> t & 1]
+            nonzero[used] = _int_det(rows) != 0
+        return nonzero[used]
+
+    if n == 1:
+        return [0] if independent(tag_bits[0][0]) else []
+    field = (1 << n) - 1
+    moves = []  # per vertex before the last: (choice bits, key bits, pending bits) per pick
+    base = 0
+    for v in range(n - 1):
+        out = n - 1 - v
+        moves.append([
+            (o << base, o << v, sum((o >> k & 1) << (n * k + v) for k in range(out)))
+            for o in range(1 << out)
+        ])
+        base += out
+    last = tag_bits[-1]
+    found = []
+
+    def visit(v: int, bits: int, pending: int, used: int) -> None:
+        own = tag_bits[v]
+        key = pending & field
+        pending >>= n
+        inline = v + 2 == n
+        for choice, out_key, lift in moves[v]:
+            bit = own[key | out_key]
+            if used & bit:
+                continue
+            if not inline:
+                visit(v + 1, bits | choice, pending | lift, used | bit)
+                continue
+            end = last[(pending | lift) & field]
+            if not (used | bit) & end and independent(used | bit | end):
+                found.append(bits | choice)
+
+    visit(0, 0, 0, 0)
+    return found
+
+
 def out_degrees(c: Choice, n: int) -> tuple[int, ...]:
     """Per-vertex count of second-basis-element ends, the orientation reading.
 
@@ -269,11 +350,13 @@ def out_degrees(c: Choice, n: int) -> tuple[int, ...]:
     if c.edge_count != n * (n - 1) // 2:
         raise DimensionError(f"choice covers {c.edge_count} edges, order {n} has {n * (n - 1) // 2}")
     degs = [0] * n
-    for idx, (i, j) in enumerate(edge_pairs(n)):
-        if c.bit(idx):
+    bits = c.bits
+    for i, j in edge_pairs(n):
+        if bits & 1:
             degs[i] += 1
         else:
             degs[j] += 1
+        bits >>= 1
     return tuple(degs)
 
 
@@ -299,21 +382,21 @@ def verify_svrtan(
 def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """Number of surviving choices for identity spinors; always n!.
 
-    Every survivor must read as a transitive tournament: its per-vertex
-    degree counts are a permutation of 0..n-1.  A survivor failing that
-    would falsify the tournament argument, so it raises.
+    The survivors come from the vertex DFS `_survivors`; the 2^C(n,2)
+    choices are still charged to ``term_budget`` at the size gate.  Every
+    survivor must read as a transitive tournament: its per-vertex degree
+    counts are a permutation of 0..n-1.  A survivor failing that would
+    falsify the tournament argument, so it raises.
     """
     charge_choices(n, term_budget)
     edges = n * (n - 1) // 2
-    count = 0
     marks = list(range(n))
     values, _ = _point_values(SpinorInstance.identity(n))
-    for bits, d in _point_dets(n, values):
-        if d:
-            count += 1
-            if sorted(out_degrees(Choice(bits, edges), n)) != marks:
-                raise SelfCheckError(f"nonzero term with non-transitive orientation: bits {bits:b}")
-    return count
+    survivors = _survivors(n, values)
+    for bits in survivors:
+        if sorted(out_degrees(Choice(bits, edges), n)) != marks:
+            raise SelfCheckError(f"nonzero term with non-transitive orientation: bits {bits:b}")
+    return len(survivors)
 
 
 def svrtan_search(

@@ -24,6 +24,7 @@ from altdet.svrtan import (
     _assignment_sum,
     _point_dets,
     _point_values,
+    _survivors,
     Choice,
     SpinorInstance,
     as_engine_instance,
@@ -292,6 +293,31 @@ class TestColumnTable:
             assert list(_point_dets(3, values)) == literal
 
 
+class TestVertexWalk:
+    """The census walker's survivors against the nonzero determinants of the reflected-binary walk."""
+
+    @staticmethod
+    def nonzero_bits(n, values):
+        return sorted(bits for bits, d in _point_dets(n, values) if d)
+
+    def test_zero_one_sweep(self):
+        for _, values, literal in zero_one_sweep():
+            assert sorted(_survivors(3, values)) == sorted(bits for bits, d in literal if d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(value_tables(5))
+    def test_arbitrary_values(self, table):
+        n, values = table
+        assert sorted(_survivors(n, values)) == self.nonzero_bits(n, values)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity(self, n):
+        values, _ = _point_values(SpinorInstance.identity(n))
+        survivors = _survivors(n, values)
+        assert len(survivors) == len(set(survivors)) == factorial(n)
+        assert sorted(survivors) == self.nonzero_bits(n, values)
+
+
 class TestRegroupedSum:
     """The sum over point assignments against the walker, and at orders the walker cannot reach."""
 
@@ -300,6 +326,10 @@ class TestRegroupedSum:
     def test_matches_walker_on_arbitrary_values(self, table):
         n, values = table
         assert _assignment_sum(n, values, 1) == signed_walk(n, values)
+
+    def test_zero_one_sweep(self):
+        for _, values, literal in zero_one_sweep():
+            assert _assignment_sum(3, values, 1) == sum(-d if bits.bit_count() % 2 else d for bits, d in literal)
 
     @pytest.mark.parametrize(
         "n,budget", [(6, DEFAULT_TERM_BUDGET), (7, DEFAULT_TERM_BUDGET), (8, 2**28)]
@@ -377,8 +407,9 @@ class TestCensus:
     def test_counts(self, n, expected):
         assert nonzero_term_census(n) == expected
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_eliminates_only_the_survivors(self, n, monkeypatch):
+        # every survivor has the tag set {x^0, ..., x^(n-1)}: one elimination in all
         calls = []
 
         def spy(a):
@@ -387,13 +418,22 @@ class TestCensus:
 
         monkeypatch.setattr("altdet.svrtan._int_det", spy)
         assert nonzero_term_census(n) == factorial(n)
-        assert len(calls) == factorial(n)
+        assert len(calls) == 1
 
     def test_survivors_are_transitive(self):
         inst = SpinorInstance.identity(4)
         for c in choices(6):
             if choice_det(inst, c) != 0:
                 assert sorted(out_degrees(c, 4)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_out_degrees_match_a_literal_count(self, n):
+        edges = n * (n - 1) // 2
+        for c in choices(edges):
+            digits = format(c.bits, f"0{edges}b")[::-1]
+            # bit 0 on {i, j} hands the second element to j, bit 1 hands it to i
+            ends = [i if digit == "1" else j for digit, (i, j) in zip(digits, edge_pairs(n))]
+            assert out_degrees(c, n) == tuple(ends.count(v) for v in range(n))
 
     def test_budget(self):
         with pytest.raises(BudgetError):
