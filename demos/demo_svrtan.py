@@ -58,8 +58,8 @@ print("  verdict:", rep.verdict)
 c = svrtan_search(rnd)
 print("  nonzero routing:", format(c.bits, "06b"), "det =", choice_det(rnd, c))
 
-# the same computation also runs through the generic engine: one slot of
-# size 2 per edge, a column swap standing in for a bit flip
+# the same computation also runs through the generic engine: the instance is
+# already its tuple of 2x2 edge matrices, a column swap standing in for a bit flip
 form, A = as_engine_instance(rnd)
 engine = verify_identity(form, A)
 print("  engine route lhs =", engine.lhs, "match:", engine.lhs == rep.lhs)

@@ -10,13 +10,15 @@ Handlers read the parsed ``argparse.Namespace`` directly.
 Exit codes: 0 when the checked identity holds or a search finds a
 witness, 1 when a check fails or a search with no guarantee exhausts, 2
 for bad inputs, 3 for exhausted budgets, 4 when an internal self-check
-fails, a guaranteed search that exhausts included.
+fails, a guaranteed search that exhausts included, and 141 (128 + SIGPIPE)
+when the reader of standard output has gone, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -410,7 +412,17 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # a line-buffered report is written before the timing line, so a
+        # reader that has gone is found before anything reaches stderr
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(line_buffering=True)
         return run(build_parser().parse_args(argv))
+    except BrokenPipeError:
+        # what stdout still buffers goes nowhere, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -27,6 +27,8 @@ alone, times the product of the matrix determinants.  That scalar is
 recovered by running the same sum with every matrix set to the identity,
 and `verify_identity` checks the factorization exactly on given inputs.
 
+The colorful and spinor instances are matrix tuples too, of shapes
+(n,...,n) and (2,...,2), so their forms take them as they are.
 `SumReport` holds both sides of the factorization; the colorful and spinor
 checks fill the same report with their own invariants, l(n) and n!.  Every
 sum runs serially in one thread; `verify_identity` accepts ``threads=`` and
@@ -72,11 +74,17 @@ class MatrixTuple:
 
     @classmethod
     def identity(cls, shape: Shape) -> "MatrixTuple":
-        return cls(shape, tuple(Matrix.identity(s) for s in shape))
+        # one immutable identity per size, however many factors share it
+        eye = {s: Matrix.identity(s) for s in set(shape.sizes)}
+        return cls(shape, tuple(map(eye.__getitem__, shape.sizes)))
 
     @cached_property
     def determinants(self) -> tuple[Fraction, ...]:
         return tuple(det(m) for m in self.matrices)
+
+    def columns(self) -> list[list[tuple[Scalar, ...]]]:
+        """Each matrix's list of columns, the input of every fold."""
+        return [m.columns() for m in self.matrices]
 
     @property
     def is_nonsingular(self) -> bool:
@@ -141,7 +149,7 @@ class MultilinearForm:
         """Each matrix's list of columns, once A is checked to have the form's shape."""
         if self.shape != A.shape:
             raise DimensionError(f"form shape {self.shape.sizes} != tuple shape {A.shape.sizes}")
-        return [m.columns() for m in A.matrices]
+        return A.columns()
 
     def __call__(self, A: MatrixTuple) -> Fraction:
         """The value at A: the fold's one path with every sigma_i the identity."""

@@ -84,8 +84,7 @@ class Matrix:
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
             raise DimensionError("matrix must have at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        if len(set(map(len, self.entries))) != 1:
             raise DimensionError("matrix rows must all have the same length")
 
     @classmethod

@@ -6,7 +6,8 @@ platform and Python version.  Entries are drawn uniformly from [-9, 9] by
 rejection (no modulo bias), and singular draws are redrawn whole, matrix
 by matrix or edge by edge, in a documented order: matrices in index order
 with entries row-major, spinor edges in lexicographic order with p1 before
-p2 and the constant coefficient before the t coefficient.
+p2 and the constant coefficient before the t coefficient.  A spinor edge
+becomes the 2x2 matrix whose columns are those of p1 and p2.
 
 Files carry one JSON object with a "kind" of "matrix-tuple", "colorful" or
 "spinor"; all scalars are rational strings like "4" or "-3/7".  Vertices
@@ -22,10 +23,10 @@ from typing import Any
 
 from .engine import DenseTensorForm, MatrixTuple
 from .errors import BudgetError, InputError, _shown
-from .exact import Matrix, Polynomial, det, format_rational, parse_rational
+from .exact import Matrix, det, format_rational, parse_rational
 from .onn import ColorfulInstance
 from .perms import Shape
-from .svrtan import SpinorInstance, edge_pairs
+from .svrtan import SpinorInstance, edge_pairs, edge_shape
 
 ENTRY_LO = -9
 ENTRY_HI = 9
@@ -92,18 +93,18 @@ def random_colorful_instance(n: int, rng: SplitMix64) -> ColorfulInstance:
 
 
 def random_spinor_instance(n: int, rng: SplitMix64) -> SpinorInstance:
-    """A nonsingular integer spinor basis per edge, in lexicographic order."""
-    bases = []
+    """A nonsingular integer spinor basis per edge, in lexicographic order, as its 2x2 matrix."""
+    matrices = []
     for _ in edge_pairs(n):
         for _ in range(RESAMPLE_CAP):
-            p1 = Polynomial((_entry(rng), _entry(rng)))
-            p2 = Polynomial((_entry(rng), _entry(rng)))
-            if p1.coeffs[0] * p2.coeffs[1] != p1.coeffs[1] * p2.coeffs[0]:
-                bases.append((p1, p2))
+            # p1's constant and t coefficients, then p2's
+            a0, a1, b0, b1 = _entry(rng), _entry(rng), _entry(rng), _entry(rng)
+            if a0 * b1 != a1 * b0:
+                matrices.append(Matrix(((a0, b0), (a1, b1))))
                 break
         else:
             raise BudgetError(f"no nonsingular edge basis within {RESAMPLE_CAP} tries")
-    return SpinorInstance(n, tuple(bases))
+    return SpinorInstance(edge_shape(n), tuple(matrices))
 
 
 def random_dense_form(shape: Shape, rng: SplitMix64) -> DenseTensorForm:
@@ -115,9 +116,13 @@ def _matrix_doc(m: Matrix) -> list[list[str]]:
     return [[format_rational(x) for x in row] for row in m.entries]
 
 
-def instance_to_doc(inst: MatrixTuple | SpinorInstance) -> dict:
+def instance_to_doc(inst: MatrixTuple) -> dict:
     """The JSON document (as plain dicts and lists) for any instance kind."""
-    # a ColorfulInstance is a MatrixTuple too, so it is tested first
+    # colorful and spinor instances are MatrixTuples too, so they are tested first
+    if isinstance(inst, SpinorInstance):
+        cols = [[[format_rational(c) for c in p] for p in pair] for pair in inst.columns()]
+        edges = [{"i": i + 1, "j": j + 1, "p1": p1, "p2": p2} for (i, j), (p1, p2) in zip(edge_pairs(inst.n), cols)]
+        return {"kind": "spinor", "n": inst.n, "edges": edges}
     if isinstance(inst, ColorfulInstance):
         return {
             "kind": "colorful",
@@ -130,18 +135,6 @@ def instance_to_doc(inst: MatrixTuple | SpinorInstance) -> dict:
             "shape": list(inst.shape.sizes),
             "matrices": [_matrix_doc(m) for m in inst.matrices],
         }
-    if isinstance(inst, SpinorInstance):
-        edges = []
-        for (i, j), (p1, p2) in zip(edge_pairs(inst.n), inst.bases):
-            edges.append(
-                {
-                    "i": i + 1,
-                    "j": j + 1,
-                    "p1": [format_rational(c) for c in p1.coeffs],
-                    "p2": [format_rational(c) for c in p2.coeffs],
-                }
-            )
-        return {"kind": "spinor", "n": inst.n, "edges": edges}
     raise TypeError(f"not an instance: {type(inst).__name__}")
 
 
@@ -196,13 +189,14 @@ def _count_at(value, where: str) -> int:
     raise InputError(f"{where}: expected a positive integer, got {got}")
 
 
-def _poly2_at(value, where: str) -> Polynomial:
+def _poly2_at(value, where: str) -> tuple[Fraction, Fraction]:
+    """The coefficients (constant, t) of a degree-<=1 polynomial."""
     if not isinstance(value, list) or len(value) != 2:
         raise InputError(f"{where}: expected [constant, t-coefficient]")
-    return Polynomial((_rational_at(value[0], f"{where}[0]"), _rational_at(value[1], f"{where}[1]")))
+    return _rational_at(value[0], f"{where}[0]"), _rational_at(value[1], f"{where}[1]")
 
 
-def parse_instance_doc(doc) -> MatrixTuple | SpinorInstance:
+def parse_instance_doc(doc) -> MatrixTuple:
     """Validate a parsed JSON document and build the instance it describes."""
     if not isinstance(doc, dict):
         raise InputError(f"top level: expected an object, got {type(doc).__name__}")
@@ -240,7 +234,7 @@ def parse_instance_doc(doc) -> MatrixTuple | SpinorInstance:
             raise InputError("edges: expected a list")
         if len(edges) != expected:
             raise InputError(f"edges: expected {expected} edges for n={n}, got {len(edges)}")
-        found: dict[tuple[int, int], tuple[Polynomial, Polynomial]] = {}
+        found: dict[tuple[int, int], Matrix] = {}
         for e, entry in enumerate(edges):
             where = f"edges[{e}]"
             if not isinstance(entry, dict):
@@ -253,12 +247,12 @@ def parse_instance_doc(doc) -> MatrixTuple | SpinorInstance:
             key = (i - 1, j - 1)
             if key in found:
                 raise InputError(f"{where}: duplicate edge ({i}, {j})")
-            found[key] = (_poly2_at(entry["p1"], f"{where}.p1"), _poly2_at(entry["p2"], f"{where}.p2"))
-        return SpinorInstance(n, tuple(found[e] for e in edge_pairs(n)))
+            found[key] = Matrix.from_columns([_poly2_at(entry[p], f"{where}.{p}") for p in ("p1", "p2")])
+        return SpinorInstance(edge_shape(n), tuple(found[e] for e in edge_pairs(n)))
     raise InputError(f"kind: expected matrix-tuple, colorful or spinor, got {_shown(kind)}")
 
 
-def load_instance(path: str) -> MatrixTuple | SpinorInstance:
+def load_instance(path: str) -> MatrixTuple:
     """Read and validate an instance file; "-" reads standard input."""
     import sys
 

@@ -20,7 +20,8 @@ subset DP in `onn`.
 
 `Shape` counts the terms of a product group and the coefficients of a
 dense form, and charges either to a budget at the size gate, where a cheap
-bound on the bit length refuses a count too large to build.
+bound on the bit length refuses a count too large to build.  The empty
+shape, the spinor shape at order 1, is the product of no groups: one term.
 """
 
 from __future__ import annotations
@@ -50,13 +51,11 @@ def _floor_log2_factorial(n: int) -> int:
 
 @dataclass(frozen=True)
 class Shape:
-    """Sizes (n_1,...,n_k) of the square matrices a tuple is made of."""
+    """Sizes (n_1,...,n_k) of the square matrices a tuple is made of; k = 0 is the empty product."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.sizes:
-            raise DimensionError("a shape needs at least one factor")
         if any(s < 1 for s in self.sizes):
             raise DimensionError(f"shape sizes must be positive: {self.sizes!r}")
 
@@ -132,6 +131,9 @@ def walk(
     `_trie`; the walk keeps its own stack, so no shape is too deep for it.
     """
     sizes = shape.sizes
+    if not sizes:  # the empty product: one term, the start state
+        yield 1, start
+        return
     last = len(sizes) - 1
     # one frame per open block: its trie cursor, and per position the state and parity above it
     frames = [[0, [start] + [None] * sizes[0], [1] * (sizes[0] + 1)]]

@@ -15,14 +15,23 @@ choice is the base point; the formula is checked exactly, and the same sum
 drives a search for a single nonzero assignment, which must exist whenever
 every edge determinant is nonzero.
 
+An instance is the tuple of edge matrices the general identity takes: a
+`MatrixTuple` of shape (2,...,2), C(n,2) factors, whose matrix e has the
+coefficients of edge e's p1 and p2 as its two columns.  The order n is
+read off the number of edges, so order 1 is the empty tuple.  The engine
+recast is the instance itself under `spinor_form`, and every route reads
+the matrices' columns; only the literal route builds the polynomials,
+through `bases`.
+
 With every basis (1, t), a choice contributes iff the t-multiplicities of
 the vertices are a permutation of 0..n-1, i.e. the induced orientation is
 a transitive tournament; exactly n! choices survive, one per vertex order.
 
-Every fast route evaluates instead, from one encoding, `_point_values`:
-the sum, the census, the search and the engine's spinor form.  The values
-of p_1..p_n at x = 0..n-1 are the Vandermonde matrix times the coefficient
-matrix, so each determinant gains the factor prod over a < b of (b - a).
+Every fast route evaluates instead, from one encoding, `_point_values`
+of the edge matrices' columns: the sum, the census, the search and the
+engine's spinor form.  The values of p_1..p_n at x = 0..n-1 are the
+Vandermonde matrix times the coefficient matrix, so each determinant
+gains the factor prod over a < b of (b - a).
 A basis element of plain ints is used as it is, and any other is scaled
 by the lcm of its denominators, so every value is an integer and every
 term is multiplied by the same product of scales, since each choice uses
@@ -65,23 +74,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import factorial, isqrt, prod
 from operator import itemgetter
 from typing import Iterator
 
 from .engine import DEFAULT_TERM_BUDGET, Fold, MatrixTuple, MultilinearForm, SumReport, _fold_sum
 from .errors import DimensionError, SelfCheckError, charge
-from .exact import Matrix, Polynomial, _int_det, int_scaled, poly_det, poly_mul
+from .exact import Polynomial, _int_det, int_scaled, poly_det, poly_mul
 from .perms import Shape
-
-ONE = Polynomial((1, 0))
-T = Polynomial((0, 1))
 
 
 @lru_cache(maxsize=None)
 def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All edges {i,j}, i < j, in lexicographic order; bit b names edge b."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+@lru_cache(maxsize=None)
+def edge_shape(n: int) -> Shape:
+    """(2,...,2), C(n,2) sizes: the shape of an order-n instance, one 2x2 matrix per edge."""
+    return Shape((2,) * (n * (n - 1) // 2))
 
 
 def choice_count(n: int) -> int:
@@ -94,42 +106,39 @@ def charge_choices(n: int, budget: int, what: str = "choice space has too many t
     return charge(lambda: choice_count(n), budget, what, bits=n * (n - 1) // 2 + 1)
 
 
-@dataclass(frozen=True)
-class SpinorInstance:
-    """An ordered basis of V_2 per edge, stored in lexicographic edge order."""
-
-    n: int
-    bases: tuple[tuple[Polynomial, Polynomial], ...]
+class SpinorInstance(MatrixTuple):
+    """Per edge, in lexicographic order, the 2x2 coefficient matrix of its basis, columns p1 then p2."""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("spinor instances need n >= 1")
-        expected = self.n * (self.n - 1) // 2
-        if len(self.bases) != expected:
-            raise DimensionError(f"order {self.n} needs {expected} edge bases, got {len(self.bases)}")
-        for p1, p2 in self.bases:
-            if p1.ambient != 2 or p2.ambient != 2:
-                raise DimensionError("edge spinors must be degree-<=1 polynomials (ambient 2)")
+        super().__post_init__()
+        if self.shape != edge_shape(self.n):
+            sizes = sorted(set(self.shape.sizes))
+            raise DimensionError(f"spinor instances need C(n, 2) 2x2 matrices, got {self.edge_count} of sizes {sizes}")
 
     @classmethod
     def identity(cls, n: int) -> "SpinorInstance":
-        """The all-(1, t) instance; every edge determinant is 1."""
-        return cls(n, tuple((ONE, T) for _ in range(n * (n - 1) // 2)))
+        """The all-(1, t) instance of order n; every edge determinant is 1."""
+        return super().identity(edge_shape(n))
+
+    @cached_property
+    def n(self) -> int:
+        """The order: the n with C(n, 2) edges, 1 for none."""
+        return (1 + isqrt(1 + 8 * self.shape.k)) // 2
 
     @property
     def edge_count(self) -> int:
-        return len(self.bases)
-
-    @cached_property
-    def edge_dets(self) -> tuple[Fraction, ...]:
-        """Per edge, the determinant of the 2x2 coefficient matrix of its basis."""
-        return tuple(
-            Fraction(p1.coeffs[0] * p2.coeffs[1] - p1.coeffs[1] * p2.coeffs[0]) for p1, p2 in self.bases
-        )
+        return self.shape.k
 
     @property
-    def is_nonsingular(self) -> bool:
-        return all(d != 0 for d in self.edge_dets)
+    def bases(self) -> tuple[tuple[Polynomial, Polynomial], ...]:
+        """Per edge, its basis (p1, p2) as polynomials: the matrix's two columns."""
+        entries = [m.entries for m in self.matrices]
+        return tuple([(Polynomial((a, c)), Polynomial((b, d))) for (a, b), (c, d) in entries])
+
+    @cached_property
+    def determinants(self) -> tuple[Fraction, ...]:
+        """Per edge, det(p1, p2), the 2x2 cross product."""
+        return tuple(Fraction(a * d - b * c) for (a, b), (c, d) in (m.entries for m in self.matrices))
 
 
 @dataclass(frozen=True)
@@ -160,8 +169,7 @@ def choice_polys(inst: SpinorInstance, c: Choice) -> tuple[Polynomial, ...]:
     n = inst.n
     one = Polynomial((1,) + (0,) * (n - 1))
     acc = [one] * n
-    for idx, (i, j) in enumerate(edge_pairs(n)):
-        p1, p2 = inst.bases[idx]
+    for idx, ((i, j), (p1, p2)) in enumerate(zip(edge_pairs(n), inst.bases)):
         to_i, to_j = (p2, p1) if c.bit(idx) else (p1, p2)
         acc[i] = poly_mul(acc[i], to_i, n)
         acc[j] = poly_mul(acc[j], to_j, n)
@@ -173,19 +181,20 @@ def choice_det(inst: SpinorInstance, c: Choice) -> Fraction:
     return poly_det(choice_polys(inst, c))
 
 
-def _point_values(inst: SpinorInstance) -> tuple[list, int]:
+def _point_values(n: int, cols) -> tuple[list, int]:
     """Per edge, the values of its scaled (p1, p2) at x = 0..n-1.
 
-    Also returns the divisor that turns point-value totals into coefficient
-    ones: the product of all element scales times the Vandermonde determinant.
+    ``cols`` holds, per edge, the coefficient columns of p1 and p2, as in
+    its 2x2 matrix.  Also returns the divisor that turns point-value totals
+    into coefficient ones: the product of all element scales times the
+    Vandermonde determinant.
     """
-    n = inst.n
     divisor = prod(factorial(k) for k in range(n))  # prod over a < b of (b - a)
     values = []
-    for basis in inst.bases:
+    for basis in cols:
         pair = []
         for p in basis:
-            (c0, c1), scale = int_scaled(p.coeffs)
+            (c0, c1), scale = int_scaled(p)
             pair.append(tuple(c0 + c1 * x for x in range(n)))
             divisor *= scale
         values.append(pair)
@@ -375,8 +384,8 @@ def verify_svrtan(
     ``threads`` is accepted and ignored, as by every sum.
     """
     terms = charge_choices(inst.n, term_budget)
-    lhs = _assignment_sum(inst.n, *_point_values(inst))
-    return SumReport.of(lhs, factorial(inst.n), inst.edge_dets, terms)
+    lhs = _assignment_sum(inst.n, *_point_values(inst.n, inst.columns()))
+    return SumReport.of(lhs, factorial(inst.n), inst.determinants, terms)
 
 
 def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
@@ -391,7 +400,7 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
     charge_choices(n, term_budget)
     edges = n * (n - 1) // 2
     marks = list(range(n))
-    values, _ = _point_values(SpinorInstance.identity(n))
+    values, _ = _point_values(n, SpinorInstance.identity(n).columns())
     survivors = _survivors(n, values)
     for bits in survivors:
         if sorted(out_degrees(Choice(bits, edges), n)) != marks:
@@ -414,7 +423,7 @@ def svrtan_search(
     literal choice_det loop.  ``incremental`` is accepted and ignored.
     """
     charge_choices(inst.n, term_budget)
-    values, _ = _point_values(inst)
+    values, _ = _point_values(inst.n, inst.columns())
     for bits, d in _point_dets(inst.n, values):
         if d:
             return Choice(bits, inst.edge_count)
@@ -424,13 +433,12 @@ def svrtan_search(
 class _SpinorForm(MultilinearForm):
     def __init__(self, n: int):
         self.n = n
-        super().__init__(Shape((2,) * (n * (n - 1) // 2)), None, f"spinor base-choice det, n={n}")
+        super().__init__(edge_shape(n), None, f"spinor base-choice det, n={n}")
 
     def fold(self, cols) -> Fold:
         n = self.n
         ends = edge_pairs(n)
-        bases = tuple((Polynomial(p1), Polynomial(p2)) for p1, p2 in cols)
-        values, divisor = _point_values(SpinorInstance(n, bases))
+        values, divisor = _point_values(n, cols)
 
         def step(acc: tuple[list[int], ...], e: int, p: int, c: int):
             col = values[e][c]
@@ -461,15 +469,10 @@ def spinor_form(n: int) -> MultilinearForm:
     return _SpinorForm(n)
 
 
-def as_engine_instance(inst: SpinorInstance) -> tuple[MultilinearForm, MatrixTuple]:
-    """Recast as `spinor_form` and a matrix tuple, one 2x2 matrix per edge.
+def as_engine_instance(inst: SpinorInstance) -> tuple[MultilinearForm, SpinorInstance]:
+    """Recast as `spinor_form` and the instance itself, already one 2x2 matrix per edge.
 
-    Each edge contributes its coefficient matrix, columns p1 then p2.
     Column swaps are exactly bit flips with matching signs, so the general
     alternating sum over this pair reproduces the choice sum term by term.
     """
-    form = spinor_form(inst.n)
-    matrices = tuple(
-        Matrix.from_columns([p1.coeffs, p2.coeffs]) for p1, p2 in inst.bases
-    )
-    return form, MatrixTuple(form.shape, matrices)
+    return spinor_form(inst.n), inst

@@ -28,6 +28,7 @@ COMMANDS = [
     ["verify-general", "--input", "readme_matrix_tuple.json"],
     ["verify-general", "--input", "readme_matrix_tuple.json", "--seed", "9"],
     ["verify-general", "--input", "readme_colorful.json"],
+    ["verify-general", "--input", "readme_spinor.json"],
     ["verify-general"],
     ["invariant", "--family", "dense", "--shape", "2,2", "--seed", "1"],
     ["invariant", "--family", "dense", "--shape", "3", "--seed", "4"],
@@ -38,6 +39,7 @@ COMMANDS = [
     ["invariant", "--family", "colorful"],
     ["invariant", "--family", "spinor", "--n", "2"],
     ["invariant", "--family", "spinor", "--n", "4"],
+    ["invariant", "--family", "spinor", "--n", "1"],
     ["alon-tarsi", "--n", "1"],
     ["alon-tarsi", "--n", "2", "--cross-check"],
     ["alon-tarsi", "--n", "3", "--cross-check"],

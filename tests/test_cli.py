@@ -21,9 +21,10 @@ from altdet.instances import (
     random_spinor_instance,
 )
 from altdet.engine import MatrixTuple
-from altdet.exact import Polynomial
+from altdet.exact import Matrix
 from altdet.perms import Shape
 from altdet.svrtan import Choice, SpinorInstance
+from golden_reports import DATA
 
 
 _SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
@@ -39,8 +40,7 @@ def invoke(argv):
 
 def singular_spinor_file(tmp_path, n=3):
     # every edge carries twice the same spinor, so no choice can work
-    one = Polynomial((1, 0))
-    inst = SpinorInstance(n, ((one, one),) * (n * (n - 1) // 2))
+    inst = SpinorInstance.of([Matrix.from_columns([(1, 0), (1, 0)])] * (n * (n - 1) // 2))
     path = tmp_path / "singular.json"
     path.write_text(canonical_json(instance_to_doc(inst)))
     return path
@@ -223,6 +223,19 @@ class TestExitCodes:
         assert "(at least a " in lines[0] and "-bit number > budget 100000000)" in lines[0]
         assert elapsed < 2, f"refusal took {elapsed:.1f}s"
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_141(self, unbuffered):
+        # the reader of stdout is gone before the child writes its report
+        env = dict(_SRC_ENV, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "altdet.cli", "census", "--n", "3", "--format", "json"],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     @pytest.mark.parametrize("literal", ["\u0663", "\uff13/\uff14", "4\n"], ids=["arabic-indic", "fullwidth", "newline"])
     def test_non_ascii_digit_entry_is_two(self, literal, tmp_path):
         rows = [[literal, "0"], ["0", "1"]]
@@ -268,11 +281,11 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err.startswith("internal check failed: nonzero term")
 
-    def test_colorful_file_is_not_a_matrix_tuple(self, tmp_path):
-        # a colorful instance is a MatrixTuple in the library, not on the command line
-        path = tmp_path / "colorful.json"
-        path.write_text(canonical_json(instance_to_doc(random_colorful_instance(2, SplitMix64(3)))))
-        code, out, err = invoke(["verify-general", "--input", str(path)])
+    @pytest.mark.parametrize("name", ["readme_colorful.json", "readme_spinor.json"])
+    def test_colorful_file_is_not_a_matrix_tuple(self, name):
+        # colorful and spinor instances are MatrixTuples in the library, not on the command line
+        path = os.path.join(DATA, name)
+        code, out, err = invoke(["verify-general", "--input", path])
         assert (code, out) == (2, "")
         assert err == f"error: {path}: expected a matrix-tuple instance\n"
 

@@ -123,10 +123,14 @@ class TestMatrix:
         assert Matrix.identity(3).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_ragged_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="same length"):
             Matrix.from_rows([[1, 2], [3]])
-        with pytest.raises(DimensionError):
-            Matrix(())
+        with pytest.raises(DimensionError, match="same length"):
+            Matrix(((1, 2), ()))
+        # an empty first row is no column, whatever follows it
+        for entries in ((), ((),), ((), (1,))):
+            with pytest.raises(DimensionError, match="at least one row and one column"):
+                Matrix(entries)
 
     def test_hashable(self):
         a = Matrix.identity(2)

@@ -109,7 +109,7 @@ class TestGenerators:
         inst = random_spinor_instance(4, SplitMix64(10))
         assert inst.n == 4
         assert len(inst.bases) == 6
-        assert all(d != 0 for d in inst.edge_dets)
+        assert all(d != 0 for d in inst.determinants)
 
     def test_dense_form_coefficient_count(self):
         f = random_dense_form(Shape.of(2, 2), SplitMix64(1))

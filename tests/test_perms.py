@@ -48,9 +48,14 @@ class TestProduct:
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
-            Shape.of()
-        with pytest.raises(DimensionError):
             Shape.of(2, 0)
+
+    def test_empty_shape_is_one_term(self):
+        # the spinor shape at n = 1 has no edges: the empty product
+        empty = Shape.of()
+        assert (empty.k, empty.term_count, empty.coefficient_count) == (0, 1, 1)
+        assert list(walk(empty, "start", lambda *_: None)) == [(1, "start")]
+        assert list(enumerate_product(empty)) == [(1, ())]
 
     def test_term_count(self):
         assert Shape.of(3, 2).term_count == 12

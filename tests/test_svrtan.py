@@ -18,7 +18,7 @@ from altdet.engine import (
     verify_identity,
 )
 from altdet.errors import BudgetError, DimensionError
-from altdet.exact import Polynomial, _int_det, poly_det, poly_mul
+from altdet.exact import Matrix, Polynomial, _int_det, det, poly_det, poly_mul
 from altdet.perms import Shape, enumerate_product
 from altdet.svrtan import (
     _assignment_sum,
@@ -40,19 +40,24 @@ from altdet.svrtan import (
 from oracles import enumerate_choices, invert, laplace_det, literal_act
 
 
-def poly(c0, c1):
-    return Polynomial((c0, c1))
+def spinor(bases):
+    """The instance whose edge e carries the basis bases[e]: the coefficients of p1, then of p2."""
+    return SpinorInstance.of(Matrix.from_columns(basis) for basis in bases)
+
+
+def point_values(inst):
+    return _point_values(inst.n, inst.columns())
 
 
 def random_spinor(n, rng, lo=-9, hi=9, nonsingular=True):
     bases = []
     while len(bases) < n * (n - 1) // 2:
-        p1 = poly(rng.randint(lo, hi), rng.randint(lo, hi))
-        p2 = poly(rng.randint(lo, hi), rng.randint(lo, hi))
-        if nonsingular and p1.coeffs[0] * p2.coeffs[1] == p1.coeffs[1] * p2.coeffs[0]:
+        p1 = (rng.randint(lo, hi), rng.randint(lo, hi))
+        p2 = (rng.randint(lo, hi), rng.randint(lo, hi))
+        if nonsingular and p1[0] * p2[1] == p1[1] * p2[0]:
             continue
         bases.append((p1, p2))
-    return SpinorInstance(n, tuple(bases))
+    return spinor(bases)
 
 
 def rational_spinor(n, rng):
@@ -61,17 +66,14 @@ def rational_spinor(n, rng):
     def coeff():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
 
-    return SpinorInstance(
-        n, tuple((poly(coeff(), coeff()), poly(coeff(), coeff())) for _ in range(n * (n - 1) // 2))
-    )
+    return spinor([((coeff(), coeff()), (coeff(), coeff())) for _ in range(n * (n - 1) // 2)])
 
 
 def singular_spinor(n, rng):
     """Random bases whose first edge carries two proportional elements."""
-    inst = random_spinor(n, rng)
-    p1, _ = inst.bases[0]
-    flat = (p1, Polynomial(tuple(-2 * c for c in p1.coeffs)))
-    return SpinorInstance(n, (flat,) + inst.bases[1:])
+    first, *rest = random_spinor(n, rng).columns()
+    p1, _ = first
+    return spinor([(p1, tuple(-2 * c for c in p1))] + rest)
 
 
 def choices(edge_count):
@@ -102,7 +104,7 @@ def signed_walk(n, values):
 
 def walker_sum(inst):
     """The same sum by the point-value walker, divided once."""
-    values, divisor = _point_values(inst)
+    values, divisor = point_values(inst)
     return Fraction(signed_walk(inst.n, values), divisor)
 
 
@@ -130,8 +132,8 @@ def zero_one_sweep():
     """
     out = []
     for c in product((0, 1), repeat=12):
-        inst = SpinorInstance(3, tuple((poly(*c[k:k + 2]), poly(*c[k + 2:k + 4])) for k in range(0, 12, 4)))
-        values, _ = _point_values(inst)
+        inst = spinor([(c[k:k + 2], c[k + 2:k + 4]) for k in range(0, 12, 4)])
+        values, _ = point_values(inst)
         out.append((inst, values, literal_point_dets(3, values)))
     return out
 
@@ -153,24 +155,44 @@ class TestEdgeOrder:
 class TestSpinorInstance:
     def test_identity(self):
         inst = SpinorInstance.identity(3)
-        assert inst.edge_count == 3
-        assert inst.edge_dets == (1, 1, 1)
+        assert (inst.n, inst.edge_count) == (3, 3)
+        assert inst.matrices == MatrixTuple.identity(inst.shape).matrices
+        assert inst.determinants == (1, 1, 1)
         assert inst.is_nonsingular
 
-    def test_edge_dets(self):
-        inst = SpinorInstance(3, ((poly(1, 2), poly(3, 4)), (poly(1, 0), poly(0, 1)), (poly(2, 0), poly(5, 7))))
-        assert inst.edge_dets == (1 * 4 - 2 * 3, 1, 2 * 7)
+    def test_is_a_matrix_tuple_of_edge_matrices(self):
+        inst = spinor([((1, 2), (3, 4)), ((1, 0), (0, 1)), ((2, 0), (5, 7))])
+        assert isinstance(inst, MatrixTuple) and inst.shape == Shape((2, 2, 2))
+        assert inst.matrices[0].entries == ((1, 3), (2, 4))
+        assert [(p1.coeffs, p2.coeffs) for p1, p2 in inst.bases] == [((1, 2), (3, 4)), ((1, 0), (0, 1)), ((2, 0), (5, 7))]
+
+    def test_order_is_read_from_the_edge_count(self):
+        for n in range(1, 7):
+            assert SpinorInstance.identity(n).n == n
+        assert SpinorInstance.of([]).n == 1
+
+    def test_determinants(self, monkeypatch):
+        inst = spinor([((1, 2), (3, 4)), ((1, 0), (0, 1)), ((2, 0), (Fraction(5, 3), 7))])
+        expected = tuple(det(m) for m in inst.matrices)
+
+        def refuse(m):
+            raise AssertionError("a 2x2 edge determinant is a cross product, not an elimination")
+
+        monkeypatch.setattr("altdet.engine.det", refuse)
+        assert inst.determinants == expected == (1 * 4 - 2 * 3, 1, 2 * 7)
 
     def test_validation(self):
+        two = Matrix.identity(2)
+        for edges in (2, 4, 5, 7):  # no complete graph has this many edges
+            with pytest.raises(DimensionError):
+                SpinorInstance.of([two] * edges)
         with pytest.raises(DimensionError):
-            SpinorInstance(3, (((poly(1, 0), poly(0, 1)),) * 2))
+            SpinorInstance.of([Matrix.identity(3)])  # not a degree-<=1 basis
         with pytest.raises(DimensionError):
-            SpinorInstance(2, ((Polynomial((1, 0, 0)), poly(0, 1)),))
-        with pytest.raises(DimensionError):
-            SpinorInstance(3, ((poly(1, 0), poly(0, 1)),))
+            SpinorInstance(Shape((2, 2, 2)), (two,))
 
     def test_singular_edge_detected(self):
-        inst = SpinorInstance(2, ((poly(1, 2), poly(2, 4)),))
+        inst = spinor([((1, 2), (2, 4))])
         assert not inst.is_nonsingular
 
 
@@ -261,7 +283,7 @@ class TestPointWalk:
 
     def test_each_term_is_scaled_choice_det(self):
         inst = rational_spinor(4, random.Random(230))
-        values, divisor = _point_values(inst)
+        values, divisor = point_values(inst)
         walked = list(_point_dets(4, values))
         assert [bits for bits, _ in walked] == enumerate_choices(6)
         for bits, d in walked:
@@ -284,7 +306,7 @@ class TestColumnTable:
         assert list(_point_dets(n, values)) == literal_point_dets(n, values)
 
     def test_identity_census_walk(self):
-        values, _ = _point_values(SpinorInstance.identity(4))
+        values, _ = point_values(SpinorInstance.identity(4))
         assert list(_point_dets(4, values)) == literal_point_dets(4, values)
 
     def test_zero_one_sweep(self):
@@ -312,7 +334,7 @@ class TestVertexWalk:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_identity(self, n):
-        values, _ = _point_values(SpinorInstance.identity(n))
+        values, _ = point_values(SpinorInstance.identity(n))
         survivors = _survivors(n, values)
         assert len(survivors) == len(set(survivors)) == factorial(n)
         assert sorted(survivors) == self.nonzero_bits(n, values)
@@ -338,7 +360,7 @@ class TestRegroupedSum:
         rng = random.Random(280 + n)
         for inst in (random_spinor(n, rng), rational_spinor(n, rng)):
             report = verify_svrtan(inst, term_budget=budget)
-            assert report.lhs == report.rhs == factorial(n) * prod(inst.edge_dets)
+            assert report.lhs == report.rhs == factorial(n) * prod(inst.determinants)
 
     def test_order_8_needs_an_explicit_budget(self):
         with pytest.raises(BudgetError):
@@ -368,7 +390,7 @@ class TestVerifySvrtan:
             assert report.rhs == expected
 
     def test_rational_spinors(self):
-        inst = SpinorInstance(2, ((poly(Fraction(1, 2), 1), poly(1, Fraction(2, 3))),))
+        inst = spinor([((Fraction(1, 2), 1), (1, Fraction(2, 3)))])
         assert verify_svrtan(inst).verdict
 
     def test_threads_agree(self):
@@ -390,13 +412,9 @@ class TestVerifySvrtan:
         rng = random.Random(96)
         inst = random_spinor(3, rng)
         lam = 3
-        scaled_bases = list(inst.bases)
-        p1, p2 = scaled_bases[1]
-        scaled_bases[1] = (
-            Polynomial(tuple(lam * c for c in p1.coeffs)),
-            Polynomial(tuple(lam * c for c in p2.coeffs)),
-        )
-        scaled = SpinorInstance(3, tuple(scaled_bases))
+        bases = inst.columns()
+        bases[1] = [tuple(lam * c for c in p) for p in bases[1]]
+        scaled = spinor(bases)
         base, after = verify_svrtan(inst), verify_svrtan(scaled)
         assert after.lhs == lam**2 * base.lhs
         assert after.rhs == lam**2 * base.rhs
@@ -456,7 +474,7 @@ class TestSearch:
         assert c is not None and c.bits == 0
 
     def test_singular_n2_exhausts(self):
-        inst = SpinorInstance(2, ((poly(1, 2), poly(2, 4)),))
+        inst = spinor([((1, 2), (2, 4))])
         assert svrtan_search(inst) is None
         assert svrtan_search(inst, incremental=True) is None
 
@@ -522,9 +540,10 @@ class TestEngineRecast:
         assert len(str(refused.value)) < 200
 
     def test_n2_shapes(self):
-        form, A = as_engine_instance(SpinorInstance.identity(2))
+        inst = SpinorInstance.identity(2)
+        form, A = as_engine_instance(inst)
         assert tuple(form.shape) == (2,)
-        assert A.matrices[0].entries == ((1, 0), (0, 1))
+        assert A is inst and A.matrices[0].entries == ((1, 0), (0, 1))
 
     def test_base_evaluation_matches_choice_det(self):
         rng = random.Random(111)
@@ -555,8 +574,8 @@ class TestEngineRecast:
         if kind == "singular":
             inst = singular_spinor(n, rng)
         elif kind == "zero":
-            p1, _ = inst.bases[-1]
-            inst = SpinorInstance(n, inst.bases[:-1] + ((p1, poly(0, 0)),))
+            *rest, (p1, _) = inst.columns()
+            inst = spinor(rest + [(p1, (0, 0))])
         literal = sum(c.sign * choice_det(inst, c) for c in choices(inst.edge_count))
         form, A = as_engine_instance(inst)
         assert alternating_sum(form, A) == literal
@@ -565,15 +584,33 @@ class TestEngineRecast:
     def test_fold_reads_the_point_values(self, monkeypatch):
         calls = []
 
-        def spy(inst):
-            calls.append(inst.n)
-            return _point_values(inst)
+        def spy(n, cols):
+            calls.append(n)
+            return _point_values(n, cols)
 
         monkeypatch.setattr("altdet.svrtan._point_values", spy)
         inst = random_spinor(4, random.Random(113))
         assert alternating_sum(*as_engine_instance(inst)) == verify_svrtan(inst).lhs
         # once for the engine's fold, once for the direct sum
         assert calls == [4, 4]
+
+    def test_zero_one_sweep(self):
+        # the signed literal point-determinant total over the Vandermonde determinant of 0, 1, 2
+        for inst, _, literal in zero_one_sweep():
+            total = sum(-d if bits.bit_count() % 2 else d for bits, d in literal)
+            assert alternating_sum(*as_engine_instance(inst)) == Fraction(total, 2)
+
+    def test_sum_builds_no_polynomial_and_no_instance(self, monkeypatch):
+        rng = random.Random(114)
+        pairs = [as_engine_instance(draw(n, rng)) for n in (2, 3, 4) for draw in (random_spinor, rational_spinor)]
+        expected = [verify_svrtan(A).lhs for _, A in pairs]
+
+        def refuse(self):
+            raise AssertionError(f"the engine's spinor sum built a {type(self).__name__}")
+
+        monkeypatch.setattr(Polynomial, "__post_init__", refuse)
+        monkeypatch.setattr(SpinorInstance, "__post_init__", refuse)
+        assert [alternating_sum(form, A) for form, A in pairs] == expected
 
     def test_invariant_is_factorial(self):
         for n in (2, 3):
