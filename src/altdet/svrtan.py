@@ -349,17 +349,16 @@ def _survivors(n: int, values) -> list[int]:
     return found
 
 
-def out_degrees(c: Choice, n: int) -> tuple[int, ...]:
+def out_degrees(bits: int, n: int) -> tuple[int, ...]:
     """Per-vertex count of second-basis-element ends, the orientation reading.
 
-    On edge {i,j}, i < j, bit 0 hands the second element to j and bit 1
-    hands it to i; with identity spinors the count is the degree of the
-    vertex polynomial.
+    ``bits`` is a choice's bits on the C(n, 2) edges.  On edge {i,j}, i < j,
+    bit 0 hands the second element to j and bit 1 hands it to i; with
+    identity spinors the count is the degree of the vertex polynomial.
     """
-    if c.edge_count != n * (n - 1) // 2:
-        raise DimensionError(f"choice covers {c.edge_count} edges, order {n} has {n * (n - 1) // 2}")
+    if not 0 <= bits < 1 << (n * (n - 1) // 2):
+        raise DimensionError(f"bits {bits} out of range for order {n}, which has {n * (n - 1) // 2} edges")
     degs = [0] * n
-    bits = c.bits
     for i, j in edge_pairs(n):
         if bits & 1:
             degs[i] += 1
@@ -398,12 +397,11 @@ def nonzero_term_census(n: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> in
     falsify the tournament argument, so it raises.
     """
     charge_choices(n, term_budget)
-    edges = n * (n - 1) // 2
     marks = list(range(n))
     values, _ = _point_values(n, SpinorInstance.identity(n).columns())
     survivors = _survivors(n, values)
     for bits in survivors:
-        if sorted(out_degrees(Choice(bits, edges), n)) != marks:
+        if sorted(out_degrees(bits, n)) != marks:
             raise SelfCheckError(f"nonzero term with non-transitive orientation: bits {bits:b}")
     return len(survivors)
 

@@ -1,9 +1,12 @@
 """Golden CLI reports: argv lists, and a writer for their stdout and exit codes.
 
 Every subcommand and every ``--family`` runs in text and in JSON, on seeded
-inputs, on the instance files in ``tests/data`` (the three README examples
-and three singular ones) and on a few inputs that exit 2 or 3 before any
-report.  ``test_golden_reports.py`` replays them and compares byte for byte.
+inputs, on the instance files in ``tests/data`` (the three README examples,
+three singular ones and a tuple of permutation matrices) and on a few inputs
+that exit 2 or 3 before any report.  The last entries are the heavy runs and
+size refusals; each has a wall ceiling in ``CEILINGS`` that ``--check``
+enforces.  ``test_golden_reports.py`` replays them and compares byte for byte.
+A new pinned run is one more ``COMMANDS`` entry and a rewrite of the file.
 
     PYTHONPATH=src python tests/golden_reports.py           # rewrite the golden file
     PYTHONPATH=src python tests/golden_reports.py --check   # compare, exit 1 on a mismatch
@@ -16,6 +19,7 @@ import io
 import json
 import os
 import sys
+import time
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN = os.path.join(DATA, "golden_reports.json")
@@ -81,8 +85,38 @@ COMMANDS = [
     ["census", "--n", "1"],
     ["census", "--n", "3"],
     ["census", "--n", "5"],
+    ["verify-svrtan", "--n", "7", "--seed", "1"],
+    ["census", "--n", "3000"],
+    ["verify-general", "--shape", "6,6"],
+    ["verify-general", "--shape", "4,4", "--seed", "1"],
+    ["invariant", "--family", "colorful", "--n", "4"],
+    ["verify-onn", "--n", "3000"],
+    ["verify-onn", "--n", "4", "--seed", "2"],
+    ["census", "--n", "7"],
+    ["alon-tarsi", "--n", "6", "--term-budget", "812851200"],
+    ["invariant", "--family", "spinor", "--n", "6"],
+    ["verify-svrtan", "--n", "8", "--seed", "1", "--term-budget", "268435456"],
+    ["rota-search", "--input", "permutation_colorful.json"],
+    ["rota-search", "--n", "31", "--seed", "1"],
 ]
 FORMATS = ("text", "json")
+
+# wall ceiling in seconds for one in-process run of the heavy argvs, in either format
+CEILINGS = {
+    ("verify-svrtan", "--n", "7", "--seed", "1"): 10,
+    ("census", "--n", "3000"): 10,
+    ("verify-general", "--shape", "6,6"): 60,
+    ("verify-general", "--shape", "4,4", "--seed", "1"): 20,
+    ("invariant", "--family", "colorful", "--n", "4"): 20,
+    ("verify-onn", "--n", "3000"): 10,
+    ("verify-onn", "--n", "4", "--seed", "2"): 20,
+    ("census", "--n", "7"): 10,
+    ("alon-tarsi", "--n", "6", "--term-budget", "812851200"): 10,
+    ("invariant", "--family", "spinor", "--n", "6"): 30,
+    ("verify-svrtan", "--n", "8", "--seed", "1", "--term-budget", "268435456"): 60,
+    ("rota-search", "--input", "permutation_colorful.json"): 20,
+    ("rota-search", "--n", "31", "--seed", "1"): 60,
+}
 
 
 def resolve(argv):
@@ -110,15 +144,25 @@ def golden_runs():
 
 
 def check():
-    """Replay every run against the golden file; print the argv of each mismatch, and return their count."""
+    """Replay every run against the golden file; print the argv of each mismatch, and return their count.
+
+    A run past its ``CEILINGS`` entry counts as a mismatch too.
+    """
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = {tuple(r["argv"]): (r["exit"], r["stdout"]) for r in json.load(fh)}
     runs = list(golden_runs())
     mismatches = 0
     for argv in runs:
-        if capture(argv) != golden.get(tuple(argv)):
+        start = time.perf_counter()
+        result = capture(argv)
+        seconds = time.perf_counter() - start
+        ceiling = CEILINGS.get(tuple(argv[:-2]))
+        if result != golden.get(tuple(argv)):
             mismatches += 1
             print("mismatch:", " ".join(argv))
+        elif ceiling is not None and seconds > ceiling:
+            mismatches += 1
+            print(f"slow: {' '.join(argv)} took {seconds:.2f} s, ceiling {ceiling} s")
     for argv in golden.keys() - {tuple(argv) for argv in runs}:
         mismatches += 1
         print("no longer run:", " ".join(argv))

@@ -112,11 +112,17 @@ class TestExitCodes:
         {"kind": "colorful", "n": 1, "matrices": [[["x" * 1_000_000]]]},
         {"kind": "colorful", "n": 1, "matrices": [[["1/" + "0" * 1_000_000]]]},
     ], ids=["kind-long-list", "literal-long-junk", "literal-zero-denominator"])
-    def test_long_bad_value_gives_one_short_line(self, doc, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_long_bad_value_gives_one_short_line(self, source, doc, tmp_path, monkeypatch, capsys):
         # main lifts the integer-string limit, so the zero denominator is parsed in full
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify-onn", "--input", str(path)]) == 2
+        if source == "file":
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps(doc))
+            where = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            where = "-"
+        assert main(["verify-onn", "--input", where]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert len(err.encode()) < 200

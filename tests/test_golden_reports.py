@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import golden_reports
 from altdet.cli import report_text
 from golden_reports import GOLDEN, capture, golden_runs
 
@@ -19,6 +20,20 @@ def test_golden_file_covers_every_run():
 def test_report_matches_golden(run):
     code, stdout = capture(run["argv"])
     assert (code, stdout) == (run["exit"], run["stdout"])
+
+
+def test_run_past_its_ceiling_is_a_mismatch(monkeypatch, tmp_path, capsys):
+    # one refused argv against its own two golden runs keeps the replay short
+    argv = ["census", "--n", "3000"]
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps([r for r in RUNS if r["argv"][:-2] == argv]))
+    monkeypatch.setattr(golden_reports, "GOLDEN", str(golden))
+    monkeypatch.setattr(golden_reports, "COMMANDS", [argv])
+    monkeypatch.setitem(golden_reports.CEILINGS, tuple(argv), 0)
+    assert golden_reports.check() == 2
+    out = capsys.readouterr().out
+    assert "slow: census --n 3000 --format text took " in out
+    assert "slow: census --n 3000 --format json took " in out
 
 
 REPORT_KEYS = ["command", "digest", "seed", "lhs", "rhs", "verdict", "term_count", "witness", "notes"]

@@ -238,7 +238,7 @@ class TestChoicePolys:
         inst = SpinorInstance.identity(3)
         # t to 2 on {0,1}, t to 0 on {0,2}... a 3-cycle needs degrees (1,1,1)
         for c in choices(3):
-            if sorted(out_degrees(c, 3)) == [1, 1, 1]:
+            if sorted(out_degrees(c.bits, 3)) == [1, 1, 1]:
                 assert choice_det(inst, c) == 0
 
     def test_bit_flip_changes_two_polys(self):
@@ -442,7 +442,7 @@ class TestCensus:
         inst = SpinorInstance.identity(4)
         for c in choices(6):
             if choice_det(inst, c) != 0:
-                assert sorted(out_degrees(c, 4)) == [0, 1, 2, 3]
+                assert sorted(out_degrees(c.bits, 4)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_out_degrees_match_a_literal_count(self, n):
@@ -451,7 +451,14 @@ class TestCensus:
             digits = format(c.bits, f"0{edges}b")[::-1]
             # bit 0 on {i, j} hands the second element to j, bit 1 hands it to i
             ends = [i if digit == "1" else j for digit, (i, j) in zip(digits, edge_pairs(n))]
-            assert out_degrees(c, n) == tuple(ends.count(v) for v in range(n))
+            assert out_degrees(c.bits, n) == tuple(ends.count(v) for v in range(n))
+
+    def test_out_degrees_refuses_bits_past_the_edges(self):
+        # order 3 has three edges, so its choices are the bits 0..7
+        assert out_degrees(7, 3) == (2, 1, 0)
+        for bits in (-1, 8):
+            with pytest.raises(DimensionError):
+                out_degrees(bits, 3)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
