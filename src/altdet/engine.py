@@ -25,7 +25,11 @@ colorful and spinor forms fold their own partial values.
 For every form f the sum factors as a scalar, depending on f and the shape
 alone, times the product of the matrix determinants.  That scalar is
 recovered by running the same sum with every matrix set to the identity,
-and `verify_identity` checks the factorization exactly on given inputs.
+once per form: the value is kept on the form, and later calls charge the
+budget and return it.  `colorful_form` and `spinor_form` return one shared
+form per order, so repeated checks of one family and order take one
+identity sum in all.  `verify_identity` checks the factorization exactly
+on given inputs.
 
 The colorful and spinor instances are matrix tuples too, of shapes
 (n,...,n) and (2,...,2), so their forms take them as they are.
@@ -119,6 +123,9 @@ class MultilinearForm:
     The colorful form also overrides the call: one tuple needs only its n
     transversal determinants, not the table its fold builds.
     """
+
+    # the sum at the identity, kept by `invariant_at_identity` once computed
+    _invariant: Fraction | None = None
 
     def __init__(
         self,
@@ -245,10 +252,14 @@ def invariant_at_identity(
     """The scalar the alternating sum contributes beyond the determinants.
 
     Evaluating the sum at the all-identity tuple isolates it, since every
-    determinant is then 1.
+    determinant is then 1.  The first call on f runs that sum and keeps the
+    value on f; every call charges the budget first, so a kept value never
+    passes a budget its shape exceeds.
     """
     f.shape.charge_terms(term_budget, "alternating sum has too many terms")
-    return _fold_sum(f.shape, f.fold([Matrix.identity(n).columns() for n in f.shape]))
+    if f._invariant is None:
+        f._invariant = _fold_sum(f.shape, f.fold([Matrix.identity(n).columns() for n in f.shape]))
+    return f._invariant
 
 
 @dataclass(frozen=True)
@@ -286,7 +297,11 @@ def verify_identity(
     threads: int = 1,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> SumReport:
-    """Check alternating sum = invariant * product of determinants, exactly."""
+    """Check alternating sum = invariant * product of determinants, exactly.
+
+    The sum over A runs on every call; the invariant is f's kept value
+    after the first (see `invariant_at_identity`).
+    """
     lhs = alternating_sum(f, A, term_budget=term_budget)
     inv = invariant_at_identity(f, term_budget=term_budget)
     return SumReport.of(lhs, inv, A.determinants, A.shape.term_count)

@@ -229,6 +229,7 @@ class _ColorfulForm(MultilinearForm):
                     start=Fraction(1))
 
 
+@lru_cache(maxsize=None)
 def colorful_form(n: int) -> MultilinearForm:
     """The order-n form: product over j of det(column j of each matrix).
 
@@ -240,7 +241,8 @@ def colorful_form(n: int) -> MultilinearForm:
     so the walk reaches the L(n) Latin squares.  A leaf's value is the
     product of its n transversal determinants, read from the last layer.
     A call on one tuple builds no table: it takes the n determinants of
-    that tuple's own transversals.
+    that tuple's own transversals.  Each order has one shared form, so its
+    invariant l(n) is computed once.
     """
     if n < 1:
         raise DimensionError("colorful forms need n >= 1")

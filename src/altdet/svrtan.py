@@ -450,6 +450,7 @@ class _SpinorForm(MultilinearForm):
         return Fold(([1] * n,) * n, step, lambda acc: _int_det([col[:] for col in acc]), divisor)
 
 
+@lru_cache(maxsize=None)
 def spinor_form(n: int) -> MultilinearForm:
     """The order-n form of shape (2,...,2), one factor per edge.
 
@@ -460,7 +461,8 @@ def spinor_form(n: int) -> MultilinearForm:
     hands an end into that end's column, point by point, and a zero basis
     element cuts its subtree.  Each leaf takes one integer determinant of
     the value columns, and the divisor of `_point_values` is the scale.
-    Its identity-matrix invariant is n!.
+    Its identity-matrix invariant is n!, computed once: each order has one
+    shared form.
     """
     if n < 2:
         raise DimensionError("the engine recast needs n >= 2 (at least one edge)")

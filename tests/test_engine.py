@@ -17,14 +17,17 @@ from altdet.engine import (
     Fold,
     MatrixTuple,
     MultilinearForm,
+    _fold_sum,
     alternating_sum,
     invariant_at_identity,
     verify_identity,
 )
 from altdet.errors import BudgetError, DimensionError, charge
 from altdet.exact import Matrix
+from altdet.instances import SplitMix64, random_colorful_instance, random_spinor_instance
 from altdet.onn import colorful_form
 from altdet.perms import Shape, enumerate_product
+from altdet.svrtan import spinor_form
 
 from oracles import brute_alternating_sum, literal_act, literal_dense_eval
 
@@ -286,6 +289,64 @@ class TestInvariant:
             invariant_at_identity(f, term_budget=35)
         with pytest.raises(BudgetError):
             alternating_sum(f, A, term_budget=35)
+
+
+SHARED_FORMS = [(colorful_form, random_colorful_instance, 3), (spinor_form, random_spinor_instance, 4)]
+
+
+class TestInvariantKeptOnForm:
+    """The identity sum runs once per form; the constructors share one form per order."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_constructors(self):
+        colorful_form.cache_clear()
+        spinor_form.cache_clear()
+
+    @pytest.mark.parametrize("make, draw, n", SHARED_FORMS, ids=["colorful-3", "spinor-4"])
+    def test_two_checks_take_one_identity_sum(self, make, draw, n, monkeypatch):
+        sums = []
+
+        def spy(shape, fold):
+            sums.append(shape)
+            return _fold_sum(shape, fold)
+
+        monkeypatch.setattr("altdet.engine._fold_sum", spy)
+        reports = [verify_identity(make(n), draw(n, SplitMix64(seed))) for seed in (1, 2)]
+        # one sum per tuple and one at the identity, not one at the identity per check
+        assert len(sums) == 3
+        assert all(r.verdict for r in reports)
+        assert reports[0].invariant == reports[1].invariant == invariant_at_identity(make(n))
+        assert reports[0].determinants != reports[1].determinants
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_one_form_per_order(self, n):
+        assert colorful_form(n) is colorful_form(n)
+        assert spinor_form(n + 1) is spinor_form(n + 1)
+        assert colorful_form(n) is not colorful_form(n + 1)
+
+    @pytest.mark.parametrize("make, draw, n", SHARED_FORMS, ids=["colorful-3", "spinor-4"])
+    def test_kept_invariant_still_charges_the_budget(self, make, draw, n):
+        f = make(n)
+        with pytest.raises(BudgetError) as before:
+            invariant_at_identity(f, term_budget=35)
+        assert verify_identity(f, draw(n, SplitMix64(3))).verdict
+        with pytest.raises(BudgetError) as after:
+            invariant_at_identity(f, term_budget=35)
+        assert str(after.value) == str(before.value)
+        with pytest.raises(BudgetError):
+            verify_identity(f, draw(n, SplitMix64(3)), term_budget=35)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2)], ids=str)
+    def test_dense_and_plain_forms_keep_the_same_invariant(self, sizes):
+        shape = Shape(sizes)
+        dense = random_dense_form(shape, random.Random(sum(sizes)))
+        plain = MultilinearForm(shape, lambda B: literal_value(dense.coeffs, B.matrices), "plain")
+        expected = brute_alternating_sum(
+            lambda mats: literal_value(dense.coeffs, mats), MatrixTuple.identity(shape).matrices, literal_act
+        )
+        first = [invariant_at_identity(dense), invariant_at_identity(plain)]
+        second = [invariant_at_identity(dense), invariant_at_identity(plain)]
+        assert first == second == [expected, expected]
 
 
 class TestVerifyIdentity:
